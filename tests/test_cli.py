@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -107,6 +108,21 @@ def test_verify_n5_certificate_path():
     report = json.loads(result.stdout)
     assert report["stages"]["psi_lp"] == "skipped"
     assert report["support"] == {"size": 125, "rank": 125}
+
+
+def test_verify_n7_within_budget():
+    # about 0.6 s on a 2-core x86-64 host, where the rank by dense Bareiss
+    # elimination alone took about 8 s
+    budget = 5.0
+    t0 = time.perf_counter()
+    result = run_cli("verify", "--n", "7", "--sigma", "(6 7)",
+                     "--format", "json")
+    elapsed = time.perf_counter() - t0
+    assert result.returncode == 0
+    report = json.loads(result.stdout)
+    assert report["confirmed"]
+    assert report["support"] == {"size": 343, "rank": 343}
+    assert elapsed < budget, f"verify --n 7 took {elapsed:.1f}s (budget {budget:.0f}s)"
 
 
 def test_verify_all_n3_no_lp():

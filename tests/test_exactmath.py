@@ -17,6 +17,7 @@ from tensorhull.exactmath import (
     random_rational_matrix,
     rat_rank,
 )
+from tensorhull.exactmath import _certified_rank, _sparse_integer_rows
 from helpers import plain_rank
 
 
@@ -41,6 +42,50 @@ def test_rank_matches_plain_elimination():
         cols = rng.randint(1, 6)
         m = random_rational_matrix(rng, rows, cols)
         assert rat_rank(m) == plain_rank(m)
+
+
+def _certificate(m):
+    """The modular certificate alone: the exact rank, or None if undecided."""
+    return _certified_rank(_sparse_integer_rows(m), m.cols)
+
+
+def _product(a, b):
+    return RatMatrix(a.rows, b.cols, [
+        [sum((a.data[i][k] * b.data[k][j] for k in range(a.cols)), Fraction(0))
+         for j in range(b.cols)] for i in range(a.rows)])
+
+
+@pytest.mark.parametrize("max_den", [1, 9])
+def test_rank_certificate_matches_plain_elimination(max_den):
+    # integer (max_den=1) and rational inputs: a random matrix, and an
+    # r x k times k x c product of rank <= k < c, which takes the kernel side
+    rng = random.Random(11 + max_den)
+    decided = 0
+    for _ in range(60):
+        rows, cols = rng.randint(2, 9), rng.randint(2, 9)
+        inner = rng.randint(1, cols - 1)
+        low = _product(random_rational_matrix(rng, rows, inner, max_den=max_den),
+                       random_rational_matrix(rng, inner, cols, max_den=max_den))
+        for m in (random_rational_matrix(rng, rows, cols, max_den=max_den), low):
+            expected = plain_rank(m)
+            assert rat_rank(m) == expected
+            assert _certificate(m) in (None, expected)
+        decided += _certificate(low) == plain_rank(low) < cols
+    assert decided >= 40
+
+
+@pytest.mark.parametrize("rows, rank", [
+    ([[2**61 - 1, 0], [0, 1]], 2),      # the rank drops mod the prime
+    ([[1, 2**40], [3, 3 * 2**40]], 1),  # kernel entry beyond the lift bound
+])
+def test_rank_falls_back_to_bareiss_when_undecided(rows, rank):
+    m = RatMatrix.from_rows(rows)
+    assert _certificate(m) is None
+    assert rat_rank(m) == plain_rank(m) == rank
+
+
+def test_certificate_decides_proportional_rows():
+    assert _certificate(RatMatrix.from_rows([[1, 2], [2, 4]])) == 1
 
 
 def test_rank_transpose_invariant():

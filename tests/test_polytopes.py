@@ -203,6 +203,24 @@ def test_support_rank_derived_case():
     assert plain_rank(sub) == 64
 
 
+@pytest.fixture(scope="module")
+def phi6():
+    return build_phi_constraints(6)
+
+
+@pytest.mark.parametrize("cycles, rank", [
+    ("(1 5)(2 6)", 215),
+    ("(3 6)", 214),
+    ("(5 6)", 216),
+])
+def test_support_rank_n6(phi6, cycles, rank):
+    # 792 x 216 support submatrices; the deficient ranks (T is then not a
+    # vertex) match the plain_rank cross-check in perfbench/refs/verify_n6.json
+    t = build_T(6, parse_permutation(cycles, 6))
+    assert phi_support_rank(t, phi6) == (rank, 216)
+    assert is_vertex_of_phi(t, phi6) == (rank == 216)
+
+
 def test_induced_marginals_examples():
     rng = random.Random(45)
     n = 3
