@@ -140,9 +140,9 @@ def _summary_table(reports) -> str:
 
 def cmd_verify_all(args) -> int:
     if args.all_sigmas:
-        sigmas = list(permutations.all_permutations(args.n))
         if args.n > args.sn_cap:
             raise UsageError(f"n={args.n} exceeds --sn-cap {args.sn_cap}")
+        sigmas = list(permutations.all_permutations(args.n))
     else:
         sigmas = permutations.enumerate_counterexample_sigmas(
             args.n, args.sn_cap)

@@ -209,15 +209,18 @@ class VerificationReport:
     red_flags: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
 
+    # (stage name, key in the JSON "stages" block, report field), in run
+    # order.  Stage names appear in failed_stages, red flags and timings.
     STAGES = (
-        "admissibility",
-        "pattern_search",
-        "transfer",
-        "block_structure",
-        "phi_membership",
-        "phi_vertex",
-        "psi_certificate",
-        "psi_lp",
+        ("admissibility", "admissibility", "sigma_admissible"),
+        ("pattern_search", "pattern_factorization_absent",
+         "factorization_absent"),
+        ("transfer", "transfer_identity", "transfer_identity"),
+        ("block_structure", "block_structure", "block_structure"),
+        ("phi_membership", "phi_membership", "in_phi"),
+        ("phi_vertex", "phi_vertex", "is_vertex"),
+        ("psi_certificate", "psi_support_certificate", "support_certificate"),
+        ("psi_lp", "psi_lp", "lp_status"),
     )
 
     @property
@@ -225,17 +228,9 @@ class VerificationReport:
         return not self.failed_stages()
 
     def failed_stages(self) -> list:
-        checks = {
-            "admissibility": self.sigma_admissible,
-            "pattern_search": self.factorization_absent,
-            "transfer": self.transfer_identity,
-            "block_structure": self.block_structure,
-            "phi_membership": self.in_phi,
-            "phi_vertex": self.is_vertex,
-            "psi_certificate": self.support_certificate,
-            "psi_lp": self.lp_status in (LP_INFEASIBLE, LP_SKIPPED),
-        }
-        return [name for name in self.STAGES if not checks[name]]
+        # A field passes on True, and lp_status on a certified or skipped LP.
+        return [name for name, _, attr in self.STAGES
+                if getattr(self, attr) not in (True, LP_INFEASIBLE, LP_SKIPPED)]
 
     def to_dict(self, include_timings: bool = True) -> dict:
         out = {
@@ -244,16 +239,8 @@ class VerificationReport:
                 "image": list(self.sigma.image),
                 "cycles": self.sigma.cycle_string(),
             },
-            "stages": {
-                "admissibility": self.sigma_admissible,
-                "pattern_factorization_absent": self.factorization_absent,
-                "transfer_identity": self.transfer_identity,
-                "block_structure": self.block_structure,
-                "phi_membership": self.in_phi,
-                "phi_vertex": self.is_vertex,
-                "psi_support_certificate": self.support_certificate,
-                "psi_lp": self.lp_status,
-            },
+            "stages": {key: getattr(self, attr)
+                       for _, key, attr in self.STAGES},
             "support": {"size": self.support_size, "rank": self.support_rank},
             "confirmed": self.confirmed,
             "failed_stages": self.failed_stages(),
@@ -294,9 +281,12 @@ def full_verification(n: int, sigma: Permutation, run_lp: bool | None = None,
     report.factorization_absent = stage(
         "pattern_search",
         lambda: exists_PQ(build_A(n), build_B(n, sigma)) is None)
-    t = stage("build_transfer", lambda: build_T(n, sigma))
-    report.transfer_identity = stage(
-        "transfer_identity", lambda: verify_transfer_identity(t, n, sigma))
+
+    def transfer():
+        t = build_T(n, sigma)
+        return t, verify_transfer_identity(t, n, sigma)
+
+    t, report.transfer_identity = stage("transfer", transfer)
     report.block_structure = stage(
         "block_structure", lambda: block_structure_report(t, n).ok)
     sys = build_phi_constraints(n, strict_families)

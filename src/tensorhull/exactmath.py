@@ -1,11 +1,12 @@
 """Exact rational matrices, rank, and LP feasibility with certificates.
 
-Scalars are `fractions.Fraction` throughout: arbitrary precision, always in
-canonical form (reduced, positive denominator).  Nothing in this module ever
-touches floating point.  The rank works on the integer rows left after
-clearing denominators: elimination modulo the prime 2^61 - 1 gives a lower
-bound, exact kernel vectors lifted from it give the matching upper bound, and
-fraction-free Bareiss elimination answers whenever the two do not meet.
+Scalars are exact rationals, `int` or `fractions.Fraction`: arbitrary
+precision, always in canonical form (reduced, positive denominator).  Nothing
+in this module ever touches floating point.  The rank works on the integer
+rows left after clearing denominators: elimination modulo the prime 2^61 - 1
+gives a lower bound, exact kernel vectors lifted from it give the matching
+upper bound, and fraction-free Bareiss elimination answers whenever the two
+do not meet.
 """
 
 from dataclasses import dataclass
@@ -28,7 +29,10 @@ def as_fraction(value) -> Fraction:
 
 
 class RatMatrix:
-    """Dense matrix of Fractions, row-major list of row lists."""
+    """Dense matrix of exact rationals, row-major list of row lists.
+
+    Entries are int or Fraction; both have numerator and denominator.
+    """
 
     __slots__ = ("rows", "cols", "data")
 
@@ -356,11 +360,9 @@ def _phase1_simplex(c_rows, d, nvars):
     rows = []
     scales = []
     for i in range(m):
-        mult = d[i].denominator
-        for v in c_rows[i]:
-            mult = lcm(mult, v.denominator)
-        crow = [int(v * mult) for v in c_rows[i]]
-        rhs = int(d[i] * mult)
+        mult = lcm(d[i].denominator, *(v.denominator for v in c_rows[i]))
+        crow = [v.numerator * (mult // v.denominator) for v in c_rows[i]]
+        rhs = d[i].numerator * (mult // d[i].denominator)
         if rhs < 0:
             mult = -mult
             crow = [-x for x in crow]

@@ -12,13 +12,12 @@ to n*(i-1)+(k-1), and the entry ((i,k),(j,l)) of an n^2 x n^2 matrix gets
 the flat variable index flat(i,k)*n^2 + flat(j,l).
 """
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from .exactmath import RatMatrix, format_matrix, lp_feasible, rat_rank
-from .permutations import Permutation
+from .permutations import Permutation, all_permutations
 
 SUPPORT_FILTERED = "support_filtered"
 FULL = "full"
@@ -224,14 +223,8 @@ def phi_contains(c: RatMatrix, sys: ConstraintSystem) -> PhiCheck:
             if c.data[rf][cf] < 0:
                 negative.append((*ti.pair(rf), *ti.pair(cf)))
     flat = [v for row in c.data for v in row]
-    violations = []
-    for row, rhs, label in zip(sys.rows, sys.d, sys.labels):
-        acc = -rhs
-        for col, v in row.items():
-            if flat[col]:
-                acc += v * flat[col]
-        if acc:
-            violations.append((label, acc))
+    violations = [(label, r)
+                  for label, r in zip(sys.labels, sys.residuals(flat)) if r]
     return PhiCheck(not negative and not violations, negative, violations)
 
 
@@ -242,13 +235,11 @@ def kron(p: Permutation, q: Permutation) -> RatMatrix:
     """
     if p.n != q.n:
         raise ValueError("size mismatch")
-    n = p.n
-    ti = TensorIndex(n)
-    m = RatMatrix.zeros(n * n, n * n)
+    nn = p.n * p.n
+    m = RatMatrix.zeros(nn, nn)
     one = Fraction(1)
-    for i in range(1, n + 1):
-        for k in range(1, n + 1):
-            m.data[ti.flat(i, k)][ti.flat(p(i), q(k))] = one
+    for v in kron_support(p, q):
+        m.data[v // nn][v % nn] = one
     return m
 
 
@@ -256,9 +247,8 @@ def kron_support(p: Permutation, q: Permutation):
     """Flat variable indices of the n^2 ones of kron(p, q)."""
     n = p.n
     nn = n * n
-    ti = TensorIndex(n)
-    return [ti.flat(i, k) * nn + ti.flat(p(i), q(k))
-            for i in range(1, n + 1) for k in range(1, n + 1)]
+    return [(n * i + k) * nn + n * (pi - 1) + (qk - 1)
+            for i, pi in enumerate(p.image) for k, qk in enumerate(q.image)]
 
 
 def support_columns(c: RatMatrix):
@@ -334,38 +324,31 @@ class MembershipResult:
 
 def all_pairs(n: int):
     """All (p, q) in lexicographic order of (p image, q image)."""
-    perms = [Permutation(img) for img in
-             itertools.permutations(range(1, n + 1))]
+    perms = list(all_permutations(n))
     return [(p, q) for p in perms for q in perms]
 
 
 def admissible_pairs(c: RatMatrix, n: int):
     """Pairs whose Kronecker support sits inside the support of c."""
-    ti = TensorIndex(n)
-    perms = [Permutation(img) for img in
-             itertools.permutations(range(1, n + 1))]
-    cells = [(i, k) for i in range(1, n + 1) for k in range(1, n + 1)]
-    out = []
-    for p in perms:
-        for q in perms:
-            if all(c.data[ti.flat(i, k)][ti.flat(p(i), q(k))] for i, k in cells):
-                out.append((p, q))
-    return out
+    perms = list(all_permutations(n))
+    data = c.data
+    # Cell by cell instead of through kron_support: most pairs fail at one
+    # of their first cells, and building each whole support first makes the
+    # 14,400-pair scan of an n=5 transfer matrix about four times slower.
+    return [(p, q) for p in perms for q in perms
+            if all(data[n * i + k][n * (pi - 1) + qk - 1]
+                   for i, pi in enumerate(p.image)
+                   for k, qk in enumerate(q.image))]
 
 
 def membership_system(c: RatMatrix, n: int, pairs) -> tuple[RatMatrix, list]:
     """The canonical LP data: one row per entry of c plus the sum-to-1 row."""
-    nn = n * n
-    n4 = nn * nn
+    n4 = n ** 4
     zero, one = Fraction(0), Fraction(1)
-    cols = []
-    for p, q in pairs:
-        col = [zero] * (n4 + 1)
+    data = [[zero] * len(pairs) for _ in range(n4)] + [[one] * len(pairs)]
+    for j, (p, q) in enumerate(pairs):
         for v in kron_support(p, q):
-            col[v] = one
-        col[n4] = one
-        cols.append(col)
-    data = [[col[r] for col in cols] for r in range(n4 + 1)]
+            data[v][j] = one
     d = [v for row in c.data for v in row] + [one]
     return RatMatrix(n4 + 1, len(pairs), data), d
 
@@ -394,24 +377,25 @@ def _reduced_rows(c: RatMatrix, n: int, pairs):
     ti = TensorIndex(n)
     rng = range(1, n + 1)
     inner = range(1, n)
+    images = [(p.image, q.image) for p, q in pairs]
     rows, d, tags = [], [], []
     for i in inner:
         for j in inner:
             for k in inner:
                 for l in inner:
-                    rows.append([1 if (p(i) == j and q(k) == l) else 0
-                                 for p, q in pairs])
+                    rows.append([1 if (pi[i - 1] == j and qi[k - 1] == l)
+                                 else 0 for pi, qi in images])
                     d.append(c.data[ti.flat(i, k)][ti.flat(j, l)])
                     tags.append(("entry", ti.var(i, k, j, l)))
     for i in inner:
         for j in inner:
-            rows.append([n if p(i) == j else 0 for p, q in pairs])
+            rows.append([n if pi[i - 1] == j else 0 for pi, _ in images])
             d.append(sum((c.data[ti.flat(i, k)][ti.flat(j, l)]
                           for k in rng for l in rng), Fraction(0)))
             tags.append(("rowblock", i, j))
     for k in inner:
         for l in inner:
-            rows.append([n if q(k) == l else 0 for p, q in pairs])
+            rows.append([n if qi[k - 1] == l else 0 for _, qi in images])
             d.append(sum((c.data[ti.flat(i, k)][ti.flat(j, l)]
                           for i in rng for j in rng), Fraction(0)))
             tags.append(("colblock", k, l))
@@ -504,8 +488,7 @@ def psi_contains(c: RatMatrix, n: int, mode: str = SUPPORT_FILTERED,
         raise ValueError(f"unknown mode {mode!r}")
 
     rows, d, tags = _reduced_rows(c, n, pairs)
-    reduced = RatMatrix.from_rows(rows)
-    outcome = lp_feasible(reduced, d)
+    outcome = lp_feasible(RatMatrix(len(rows), len(pairs), rows), d)
     if outcome.feasible:
         weights = {(p.image, q.image): w
                    for (p, q), w in zip(pairs, outcome.witness) if w}

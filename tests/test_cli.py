@@ -6,6 +6,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -134,6 +136,18 @@ def test_verify_all_n3_no_lp():
     assert all(not r["stages"]["admissibility"] for r in reports)
 
 
+def test_verify_all_sigmas_checks_cap_before_enumerating(monkeypatch, capsys):
+    from tensorhull import cli, permutations
+
+    def refuse(n):
+        raise AssertionError(f"S_{n} enumerated before the cap check")
+
+    monkeypatch.setattr(permutations, "all_permutations", refuse)
+    code = cli.main(["verify-all", "--n", "12", "--all-sigmas", "--no-lp"])
+    assert code == 2
+    assert "n=12 exceeds --sn-cap 8" in capsys.readouterr().err
+
+
 def test_verify_all_text_summary_table():
     result = run_cli("verify-all", "--n", "4", "--no-lp")
     assert result.returncode == 0
@@ -199,6 +213,27 @@ def test_psi_oracle_uniform_in(tmp_path):
     verdict = json.loads(result.stdout)
     assert verdict["in_psi"] is True
     assert verdict["verified"] is True
+
+
+# Inputs (n=4): T for sigma=(3 4); tmix = (T + P (x) Q)/2 with only that one
+# vertex inside its support; mix2 = 1/3 vertex + 2/3 vertex; perturbed = mix2
+# with mass moved between two entries that the reduced membership rows see
+# only through the total, so the oracle must fall back to the canonical rows.
+# Together they reach the full-mode Farkas, filtered Farkas, witness and
+# fallback paths.
+@pytest.mark.parametrize("matrix, mode, golden", [
+    ("T_n4_s34.txt", "full", "psi_oracle_T_n4_s34_full.json"),
+    ("psi_tmix_n4.txt", "support-filtered", "psi_oracle_tmix_n4_filtered.json"),
+    ("psi_mix2_n4.txt", "full", "psi_oracle_mix2_n4_full.json"),
+    ("psi_mix2_n4.txt", "support-filtered", "psi_oracle_mix2_n4_filtered.json"),
+    ("psi_perturbed_n4.txt", "support-filtered",
+     "psi_oracle_perturbed_n4_filtered.json"),
+])
+def test_psi_oracle_matches_golden_bytes(matrix, mode, golden):
+    result = run_cli("psi-oracle", str(GOLDEN / matrix), "--n", "4",
+                     "--mode", mode, "--format", "json")
+    assert result.returncode == 0
+    assert result.stdout == (GOLDEN / golden).read_text()
 
 
 def test_psi_oracle_usage_errors(tmp_path):

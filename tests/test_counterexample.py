@@ -9,6 +9,7 @@ from tensorhull.counterexample import (
     LP_FEASIBLE,
     LP_INFEASIBLE,
     LP_SKIPPED,
+    VerificationReport,
     block_structure_report,
     build_T,
     certify_not_in_psi,
@@ -147,8 +148,11 @@ def test_full_verification_flagship():
     assert report.lp_status == LP_INFEASIBLE
     assert (report.support_rank, report.support_size) == (64, 64)
     assert not report.red_flags
-    assert set(report.timings) >= {"admissibility", "pattern_search",
-                                   "phi_membership", "phi_vertex", "psi_lp"}
+    assert list(report.timings) == [
+        "admissibility", "pattern_search", "transfer", "block_structure",
+        "phi_membership", "phi_vertex", "psi_certificate", "psi_lp"]
+    assert list(report.timings) == [
+        name for name, _, _ in VerificationReport.STAGES]
 
 
 def test_full_verification_control():
