@@ -6,12 +6,16 @@ in this module ever touches floating point.  The rank works on the integer
 rows left after clearing denominators: elimination modulo the prime 2^61 - 1
 gives a lower bound, exact kernel vectors lifted from it give the matching
 upper bound, and fraction-free Bareiss elimination answers whenever the two
-do not meet.
+do not meet.  LP feasibility is a revised simplex on the same kind of
+integer rows, keeping the basis inverse as sparse rows at positive scales;
+its witnesses and Farkas vectors are re-checked over ints.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import repeat
+from math import gcd, lcm
+from operator import add, attrgetter, mul
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -150,9 +154,9 @@ def _sparse_integer_rows(m: RatMatrix):
     """Each row as {col: integer} with its denominators cleared."""
     out = []
     for row in m.data:
-        entries = [(j, v) for j, v in enumerate(row) if v]
-        mult = lcm(*(v.denominator for _, v in entries))
-        out.append({j: v.numerator * (mult // v.denominator) for j, v in entries})
+        cols = [j for j, v in enumerate(row) if v]
+        _, ints = clear_denominators([row[j] for j in cols])
+        out.append(dict(zip(cols, ints)))
     return out
 
 
@@ -308,28 +312,47 @@ class Feasibility:
         return self.status == FEASIBLE
 
 
+_denominator = attrgetter("denominator")
+
+
+def clear_denominators(values):
+    """(L, [L * v for v in values]) with L > 0 the lcm of the denominators.
+
+    Values are int or Fraction; the scaled values are ints.
+    """
+    mult = lcm(*set(map(_denominator, values)))
+    return mult, [v * mult if type(v) is int
+                  else v.numerator * (mult // v.denominator) for v in values]
+
+
 def check_farkas(c_matrix: RatMatrix, d, y) -> bool:
-    """Independent check that y certifies infeasibility of {x>=0 : Cx=d}."""
+    """Independent check that y certifies infeasibility of {x>=0 : Cx=d}.
+
+    y is scaled once by the lcm of its denominators, a positive factor that
+    keeps the sign of every entry of C'y and of d'y; on integer rows of C
+    the column sums then run over ints.
+    """
     if len(d) != c_matrix.rows or len(y) != c_matrix.rows:
         raise ValueError("dimension mismatch")
-    for j in range(c_matrix.cols):
-        s = sum((c_matrix.data[i][j] * y[i] for i in range(c_matrix.rows)
-                 if c_matrix.data[i][j]), Fraction(0))
-        if s < 0:
-            return False
-    dty = sum((d[i] * y[i] for i in range(len(d)) if d[i]), Fraction(0))
-    return dty < 0
+    _, ys = clear_denominators(y)
+    acc = [0] * c_matrix.cols
+    dty = 0
+    for row, di, yi in zip(c_matrix.data, d, ys):
+        if yi:
+            acc = list(map(add, acc, map(mul, row, repeat(yi))))
+            dty += di * yi
+    return min(acc, default=0) >= 0 and dty < 0
 
 
 def lp_feasible(c_matrix: RatMatrix, d) -> Feasibility:
     """Decide exactly whether {x >= 0 : Cx = d} is nonempty.
 
-    Phase-1 simplex with integer (fraction-free) pivoting.  Entering column:
-    most negative reduced cost, ties broken by lowest index; leaving row:
-    lexicographic ratio test keyed on (rhs, artificial columns, structural
-    columns), which guarantees termination on degenerate systems and makes
-    the output deterministic.  The witness or certificate is re-verified
-    against the original data before returning.
+    Phase-1 revised simplex over the integer rows of [C | d] (see
+    _phase1_simplex).  Entering column: most negative reduced cost, ties
+    broken by lowest index; leaving row: lexicographic ratio test keyed on
+    (rhs, artificial columns), which guarantees termination on degenerate
+    systems and makes the output deterministic.  The witness or certificate
+    is re-verified against the original data before returning.
     """
     m, nvars = c_matrix.rows, c_matrix.cols
     if len(d) != m:
@@ -340,8 +363,11 @@ def lp_feasible(c_matrix: RatMatrix, d) -> Feasibility:
         x = x_or_y
         if any(v < 0 for v in x):
             raise AssertionError("simplex returned a negative witness entry")
-        resid = c_matrix.matvec(x)
-        if any(resid[i] != d[i] for i in range(m)):
+        # Cx = d with x scaled to ints by the lcm of its denominators.
+        mult, xs = clear_denominators(x)
+        support = [(j, v) for j, v in enumerate(xs) if v]
+        if any(sum(row[j] * v for j, v in support) != di * mult
+               for row, di in zip(c_matrix.data, d)):
             raise AssertionError("simplex witness failed re-substitution")
         return Feasibility(FEASIBLE, witness=x)
     y = x_or_y
@@ -351,99 +377,131 @@ def lp_feasible(c_matrix: RatMatrix, d) -> Feasibility:
 
 
 def _phase1_simplex(c_rows, d, nvars):
-    """Core phase-1 over integer data with a shared denominator (Bareiss pivots)."""
+    """Phase-1 revised simplex over integer data; returns (status, x or y).
+
+    Row i of [C | d] is scaled to integers with rhs >= 0, and an artificial
+    column e_i is added, so the first basis is the artificials and the
+    tableau is always B^-1 [A | I | b].  Only two parts of it are kept:
+
+    - binv[i], row i of [B^-1 | B^-1 b] as a sparse {column: int} (the rhs
+      under key m), held at its own positive scale and divided by its gcd
+      after each update;
+    - z, the reduced costs of [A | I | b] (for min sum of artificials),
+      times the positive integer zscale.
+
+    Each pivot builds the entering column B^-1 A_e from the sparse columns
+    of A, rewrites only the rows where it is nonzero, and updates z through
+    the pivot row [binv[r] A | binv[r]].  The rules read only ratios inside
+    one row and comparisons inside z, so the positive scales leave the pivot
+    sequence that of the full tableau.
+    """
     m = len(c_rows)
     if m == 0:
         return FEASIBLE, [Fraction(0)] * nvars
-    # Integerize [C_i | d_i] and flip signs so rhs >= 0; remember the row
-    # scaling to map certificates back (scaled row = s_i * original row).
-    rows = []
-    scales = []
-    for i in range(m):
-        mult = lcm(d[i].denominator, *(v.denominator for v in c_rows[i]))
-        crow = [v.numerator * (mult // v.denominator) for v in c_rows[i]]
-        rhs = d[i].numerator * (mult // d[i].denominator)
-        if rhs < 0:
-            mult = -mult
-            crow = [-x for x in crow]
-            rhs = -rhs
-        art = [0] * m
-        art[i] = 1
-        rows.append(crow + art + [rhs])
-        scales.append(Fraction(mult))
-    width = nvars + m + 1
-    RHS = width - 1
-    # Reduced-cost row for min(sum of artificials) with the artificial basis.
-    z = [0] * width
-    for row in rows:
-        for j in range(width):
-            if row[j]:
-                z[j] -= row[j]
-    for j in range(nvars, nvars + m):
-        z[j] += 1
-    det = 1
+    # Flip signs so rhs >= 0; mults[i] maps certificates back to row i of C.
+    arows, cols, mults, rhs = [], [[] for _ in range(nvars)], [], []
+    for i, (row, di) in enumerate(zip(c_rows, d)):
+        mult, ints = clear_denominators([*row, di])
+        if ints[-1] < 0:
+            mult, ints = -mult, [-v for v in ints]
+        entries = [(j, v) for j, v in enumerate(ints[:-1]) if v]
+        for j, v in entries:
+            cols[j].append((i, v))
+        arows.append(entries)
+        mults.append(mult)
+        rhs.append(ints[-1])
+    binv = [{i: 1, m: b} if b else {i: 1} for i, b in enumerate(rhs)]
+    holders = [{i} for i in range(m)]  # holders[k]: rows i with k in binv[i]
+    # Phase-1 reduced costs: 0 - sum of the rows on the structural columns
+    # and the rhs, 1 - 1 = 0 on the artificials.
+    z = [0] * (nvars + m + 1)
+    for entries in arows:
+        for j, v in entries:
+            z[j] -= v
+    z[-1] = -sum(rhs)
+    zscale = 1
     basis = list(range(nvars, nvars + m))
-    lex_keys = [RHS] + list(range(nvars, nvars + m)) + list(range(nvars))
     while True:
-        enter = -1
-        best = 0
-        for j in range(nvars):  # artificials never re-enter
-            if z[j] < best:
-                best = z[j]
-                enter = j
-        if enter < 0:
+        best = min(z[:nvars], default=0)  # artificials never re-enter
+        if best >= 0:
             break
-        cands = [i for i in range(m) if rows[i][enter] > 0]
+        enter = z.index(best)
+        col = {}
+        for k, v in cols[enter]:
+            for i in holders[k]:
+                col[i] = col.get(i, 0) + binv[i][k] * v
+        col = {i: a for i, a in col.items() if a}
+        cands = [i for i, a in col.items() if a > 0]
         if not cands:
             # Phase-1 objective is bounded below by 0, so this cannot happen.
             raise AssertionError("phase-1 ratio test found no pivot row")
-        for key in lex_keys:
-            if len(cands) == 1:
-                break
-            best_num = best_den = None
-            kept = []
-            for i in cands:
-                num, den = rows[i][key], rows[i][enter]
-                if best_num is None:
-                    best_num, best_den, kept = num, den, [i]
-                    continue
-                cmp = num * best_den - best_num * den
-                if cmp < 0:
-                    best_num, best_den, kept = num, den, [i]
-                elif cmp == 0:
-                    kept.append(i)
-            cands = kept
+        # Lexicographic ratio test on (rhs, artificial columns): the first
+        # key where two rows' ratios differ decides.  A column where both
+        # rows are zero ties them, so only their own columns are read.
+        def lex_cmp(i, j):
+            ri, rj = binv[i], binv[j]
+            for k in (m, *sorted((ri.keys() | rj.keys()) - {m})):
+                c = ri.get(k, 0) * col[j] - rj.get(k, 0) * col[i]
+                if c:
+                    return c
+            # Rows tied on every key would have proportional B^-1 rows.
+            raise AssertionError("lexicographic ratio test left a tie")
+
         r = cands[0]
-        piv = rows[r][enter]
-        prow = rows[r]
-        for i in range(m):
+        for i in cands[1:]:
+            if lex_cmp(i, r) < 0:
+                r = i
+        prow = binv[r]
+        piv = col[r]
+        for i, a in col.items():
             if i == r:
                 continue
-            row = rows[i]
-            b = row[enter]
-            if b == 0:
-                if det != piv:
-                    rows[i] = [(piv * x) // det for x in row]
-            else:
-                rows[i] = [(piv * x - b * y) // det for x, y in zip(row, prow)]
-        b = z[enter]
-        z = [(piv * x - b * y) // det for x, y in zip(z, prow)]
-        det = piv
+            g = gcd(piv, a)
+            f, h = piv // g, a // g
+            new = {k: f * v for k, v in binv[i].items()}
+            for k, v in prow.items():
+                old = new.get(k)
+                w = (old or 0) - h * v
+                if w:
+                    new[k] = w
+                    if old is None and k < m:
+                        holders[k].add(i)
+                else:
+                    del new[k]
+                    if k < m:
+                        holders[k].discard(i)
+            g = gcd(*new.values())
+            binv[i] = {k: v // g for k, v in new.items()} if g > 1 else new
+        # z -= z_e * (pivot row / piv), both sides kept integral.
+        g = gcd(piv, z[enter])
+        f, h = piv // g, z[enter] // g
+        if f != 1:
+            z = list(map(mul, z, repeat(f)))
+            zscale *= f
+        for k, v in prow.items():
+            hv = h * v
+            z[nvars + k] -= hv  # artificial k, or the rhs when k == m
+            if k < m:
+                for j, a in arows[k]:
+                    z[j] -= hv * a
+        g = gcd(zscale, *z)
+        if g > 1:
+            z = [x // g for x in z]
+            zscale //= g
         basis[r] = enter
-    if z[RHS] == 0:
+    if z[-1] == 0:
         x = [Fraction(0)] * nvars
-        for i in range(m):
-            if basis[i] < nvars:
-                x[basis[i]] = Fraction(rows[i][RHS], det)
+        for i, j in enumerate(basis):
+            if j < nvars:
+                # Row i holds a true 1 in its basic column: that is its scale.
+                scale = sum(binv[i].get(k, 0) * v for k, v in cols[j])
+                x[j] = Fraction(binv[i].get(m, 0), scale)
         return FEASIBLE, x
     # Positive phase-1 objective: read the dual off the artificial columns.
-    # For artificial i the reduced cost is 1 - y_i, so y_i = 1 - z_i/det; the
-    # farkas vector is -y mapped through the row scaling.
-    y = []
-    for i in range(m):
-        yi = Fraction(z[nvars + i], det) - 1
-        y.append(yi * scales[i])
-    return INFEASIBLE, y
+    # For artificial i the reduced cost is 1 - y_i, so y_i = 1 - z_i/zscale;
+    # the farkas vector is -y mapped through the row scaling.
+    return INFEASIBLE, [(Fraction(z[nvars + i], zscale) - 1) * mults[i]
+                        for i in range(m)]
 
 
 def random_rational_matrix(rng, rows: int, cols: int, max_num: int = 9,
@@ -467,5 +525,6 @@ __all__ = [
     "columns_independent",
     "lp_feasible",
     "check_farkas",
+    "clear_denominators",
     "random_rational_matrix",
 ]

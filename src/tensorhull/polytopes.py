@@ -15,8 +15,10 @@ the flat variable index flat(i,k)*n^2 + flat(j,l).
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
-from .exactmath import RatMatrix, format_matrix, lp_feasible, rat_rank
+from .exactmath import (RatMatrix, clear_denominators, format_matrix,
+                        lp_feasible, rat_rank)
 from .permutations import Permutation, all_permutations
 
 SUPPORT_FILTERED = "support_filtered"
@@ -342,14 +344,16 @@ def admissible_pairs(c: RatMatrix, n: int):
 
 
 def membership_system(c: RatMatrix, n: int, pairs) -> tuple[RatMatrix, list]:
-    """The canonical LP data: one row per entry of c plus the sum-to-1 row."""
+    """The canonical LP data: one row per entry of c plus the sum-to-1 row.
+
+    The coefficients are the ints 0 and 1; d holds the entries of c and 1.
+    """
     n4 = n ** 4
-    zero, one = Fraction(0), Fraction(1)
-    data = [[zero] * len(pairs) for _ in range(n4)] + [[one] * len(pairs)]
+    data = [[0] * len(pairs) for _ in range(n4)] + [[1] * len(pairs)]
     for j, (p, q) in enumerate(pairs):
         for v in kron_support(p, q):
-            data[v][j] = one
-    d = [v for row in c.data for v in row] + [one]
+            data[v][j] = 1
+    d = [v for row in c.data for v in row] + [Fraction(1)]
     return RatMatrix(n4 + 1, len(pairs), data), d
 
 
@@ -439,22 +443,18 @@ def _expand_farkas(y, tags, n: int):
 
 
 def _verify_psi_farkas(c: RatMatrix, n: int, pairs, y) -> bool:
-    """check_farkas against the canonical system, via column supports."""
+    """check_farkas against the canonical system, via column supports.
+
+    y and the entries of c are each scaled to ints by the lcm of their
+    denominators; both factors are positive, so every sign is kept.
+    """
     n4 = n ** 4
+    _, ys = clear_denominators(y)
     for p, q in pairs:
-        acc = y[n4]
-        for v in kron_support(p, q):
-            acc += y[v]
-        if acc < 0:
+        if ys[n4] + sum(ys[v] for v in kron_support(p, q)) < 0:
             return False
-    dty = y[n4]
-    nn = n * n
-    for rf in range(nn):
-        for cf in range(nn):
-            val = c.data[rf][cf]
-            if val:
-                dty += val * y[rf * nn + cf]
-    return dty < 0
+    mult, cs = clear_denominators([v for row in c.data for v in row])
+    return ys[n4] * mult + sum(map(mul, cs, ys)) < 0
 
 
 def psi_contains(c: RatMatrix, n: int, mode: str = SUPPORT_FILTERED,

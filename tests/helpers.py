@@ -140,3 +140,43 @@ def convex_combination(matrices, weights) -> RatMatrix:
                 if m.data[r][c]:
                     data[r][c] += w * m.data[r][c]
     return RatMatrix(rows, cols, data)
+
+
+def brute_lp_feasible(c: RatMatrix, d) -> bool:
+    """Whether {x >= 0 : Cx = d} is nonempty, by basic-solution enumeration.
+
+    A nonempty set has a basic feasible point: a set of independent columns
+    (at most one per row) whose system C_S x_S = d has a nonnegative
+    solution.  Every column subset up to the row count is solved exactly by
+    rational Gauss-Jordan elimination on [C_S | d]; subsets with dependent
+    columns or an inconsistent system are skipped.
+    """
+    d = [Fraction(v) for v in d]
+    for k in range(min(c.rows, c.cols) + 1):
+        for subset in itertools.combinations(range(c.cols), k):
+            aug = [[Fraction(row[j]) for j in subset] + [di]
+                   for row, di in zip(c.data, d)]
+            x = _solve_independent(aug, k)
+            if x is not None and all(v >= 0 for v in x):
+                return True
+    return False
+
+
+def _solve_independent(aug, k):
+    """Unique solution of the k-column augmented system, or None."""
+    r = 0
+    for col in range(k):
+        piv = next((i for i in range(r, len(aug)) if aug[i][col]), None)
+        if piv is None:
+            return None  # dependent columns
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = 1 / aug[r][col]
+        aug[r] = [v * inv for v in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        r += 1
+    if any(row[k] for row in aug[r:]):
+        return None  # inconsistent
+    return [aug[i][k] for i in range(k)]

@@ -112,6 +112,20 @@ def test_verify_n5_certificate_path():
     assert report["support"] == {"size": 125, "rank": 125}
 
 
+def test_verify_n5_full_lp_within_budget():
+    # about 2.7 s on a 2-core x86-64 host, where the dense tableau took 19 s
+    budget = 30.0
+    t0 = time.perf_counter()
+    result = run_cli("verify", "--n", "5", "--sigma", "(4 5)", "--lp",
+                     "--format", "json")
+    elapsed = time.perf_counter() - t0
+    assert result.returncode == 0
+    report = json.loads(result.stdout)
+    assert report["stages"]["psi_lp"] == "infeasible_certified"
+    assert report["confirmed"]
+    assert elapsed < budget, f"verify --n 5 --lp took {elapsed:.1f}s (budget {budget:.0f}s)"
+
+
 def test_verify_n7_within_budget():
     # about 0.6 s on a 2-core x86-64 host, where the rank by dense Bareiss
     # elimination alone took about 8 s

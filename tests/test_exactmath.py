@@ -18,7 +18,7 @@ from tensorhull.exactmath import (
     rat_rank,
 )
 from tensorhull.exactmath import _certified_rank, _sparse_integer_rows
-from helpers import plain_rank
+from helpers import brute_lp_feasible, plain_rank
 
 
 def test_rank_identity():
@@ -211,6 +211,56 @@ def test_lp_zero_columns():
     res = lp_feasible(c, [Fraction(0), Fraction(1)])
     assert res.status == INFEASIBLE
     assert check_farkas(c, [Fraction(0), Fraction(1)], res.farkas)
+
+
+def _degenerate_system(rng, kind):
+    """A small random system {x >= 0 : Cx = d} of the given degenerate kind."""
+    rows, cols = rng.randint(1, 4), rng.randint(1, 6)
+    data = [[Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+             for _ in range(cols)] for _ in range(rows)]
+    if rng.random() < 0.5:
+        # Right-hand side from a nonnegative point, so feasible ones occur.
+        x = [Fraction(rng.randint(0, 3)) for _ in range(cols)]
+        d = [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in data]
+    else:
+        d = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(rows)]
+    if kind == "zero rhs":
+        d = [Fraction(0)] * rows
+    elif kind == "zero column":
+        j = rng.randrange(cols)
+        for row in data:
+            row[j] = Fraction(0)
+    elif kind == "duplicate column":
+        j = rng.randrange(cols)
+        for row in data:
+            row.append(row[j])
+    elif kind == "dependent row":
+        a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+        i, k = rng.randrange(rows), rng.randrange(rows)
+        data.append([a * u + b * v for u, v in zip(data[i], data[k])])
+        d.append(a * d[i] + b * d[k] + rng.choice((0, 0, 1)))
+    elif kind == "negative rhs":
+        d = [-abs(v) - rng.randint(0, 1) for v in d]
+    if rng.random() < 0.5:
+        # Integer rows, as the Psi membership LP passes them.
+        data = [[int(v * 6) for v in row] for row in data]
+        d = [v * 6 for v in d]
+    return RatMatrix(len(data), len(data[0]), data), d
+
+
+DEGENERATE_KINDS = ("plain", "zero rhs", "zero column", "duplicate column",
+                    "dependent row", "negative rhs")
+
+
+def test_lp_status_matches_basis_enumeration():
+    rng = random.Random(2024)
+    seen = {FEASIBLE: 0, INFEASIBLE: 0}
+    for trial in range(240):
+        c, d = _degenerate_system(rng, DEGENERATE_KINDS[trial % 6])
+        res = lp_feasible(c, d)
+        assert res.feasible == brute_lp_feasible(c, d), (trial, c.data, d)
+        seen[res.status] += 1
+    assert min(seen.values()) >= 40, seen
 
 
 def test_matrix_text_roundtrip():

@@ -1,7 +1,9 @@
 """Constraint system, membership and vertex tests, and the Psi LP oracle."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +44,9 @@ from helpers import (
     shift_pair,
     tensor_product,
 )
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def uniform_matrix(n: int) -> RatMatrix:
@@ -307,6 +312,24 @@ def test_psi_counterexample_both_modes():
     canon, d = membership_system(t, n, full.pairs)
     assert (canon.rows, canon.cols) == (257, 576)
     assert check_farkas(canon, d, full.farkas)
+
+
+def test_psi_full_n4_all_sigmas_matches_golden_bytes():
+    # The full-mode LP for T of every sigma in S_4 (8 witnesses, 16 Farkas
+    # vectors), recorded from the dense fraction-free tableau: the revised
+    # simplex must take the same pivots and so return the same vectors.
+    entries = []
+    for sigma in all_permutations(4):
+        res = psi_contains(build_T(4, sigma), 4, mode="full")
+        entry = {"sigma": list(sigma.image), "in_psi": res.in_psi}
+        if res.in_psi:
+            entry["weights"] = [{"p": list(p), "q": list(q), "weight": str(w)}
+                                for (p, q), w in sorted(res.weights.items())]
+        else:
+            entry["farkas"] = [str(v) for v in res.farkas]
+        entries.append(json.dumps(entry))
+    text = "[\n" + ",\n".join(entries) + "\n]\n"
+    assert text == (GOLDEN / "psi_full_n4_all_sigmas.json").read_text()
 
 
 def test_psi_modes_agree():
