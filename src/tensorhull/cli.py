@@ -112,11 +112,16 @@ def cmd_verify(args) -> int:
 
 
 def _verify_worker(packed):
+    """One sigma's report; an internal divergence is its red flag, so the
+    batch goes on instead of aborting."""
     n, image, run_lp, strict = packed
     sigma = permutations.Permutation(image)
-    report = counterexample.full_verification(
-        n, sigma, run_lp=run_lp, strict_families=strict)
-    return report
+    try:
+        return counterexample.full_verification(
+            n, sigma, run_lp=run_lp, strict_families=strict)
+    except (AssertionError, RuntimeError) as exc:
+        return counterexample.VerificationReport(
+            n=n, sigma=sigma, red_flags=[f"verification divergence: {exc}"])
 
 
 def _summary_table(reports) -> str:

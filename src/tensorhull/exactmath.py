@@ -154,10 +154,17 @@ def _sparse_integer_rows(m: RatMatrix):
     """Each row as {col: integer} with its denominators cleared."""
     out = []
     for row in m.data:
-        cols = [j for j, v in enumerate(row) if v]
-        _, ints = clear_denominators([row[j] for j in cols])
+        cols, values = _nonzeros(row)
+        _, ints = clear_denominators(values)
         out.append(dict(zip(cols, ints)))
     return out
+
+
+def _nonzeros(row):
+    """(columns, values) of the nonzero entries of a dense row; zeros have
+    denominator 1, so the values alone have the lcm of the whole row."""
+    cols = [j for j, v in enumerate(row) if v]
+    return cols, [row[j] for j in cols]
 
 
 def _certified_rank(rows, ncols):
@@ -401,10 +408,11 @@ def _phase1_simplex(c_rows, d, nvars):
     # Flip signs so rhs >= 0; mults[i] maps certificates back to row i of C.
     arows, cols, mults, rhs = [], [[] for _ in range(nvars)], [], []
     for i, (row, di) in enumerate(zip(c_rows, d)):
-        mult, ints = clear_denominators([*row, di])
+        idx, values = _nonzeros(row)
+        mult, ints = clear_denominators([*values, di])
         if ints[-1] < 0:
             mult, ints = -mult, [-v for v in ints]
-        entries = [(j, v) for j, v in enumerate(ints[:-1]) if v]
+        entries = list(zip(idx, ints))
         for j, v in entries:
             cols[j].append((i, v))
         arows.append(entries)

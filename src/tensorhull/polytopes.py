@@ -5,7 +5,9 @@ indexed by pairs ((i,k),(j,l)), that additionally satisfy four families of
 partial-sum balance equations.  ``Psi`` is the convex hull of all Kronecker
 products A (x) B of two n x n doubly stochastic matrices; its extreme points
 are exactly the products P (x) Q of permutation matrices, so membership in
-Psi is a finite, exactly solvable LP over the n!^2 Kronecker vertices.
+Psi is a finite, exactly solvable LP over the n!^2 Kronecker vertices.  Its
+canonical rows are the n^4 entry equations and the sum-to-1 row; every LP
+solved here has rows that each sum one group of them.
 
 Indexing is row-major throughout: the matrix cell (i,k), 1-based, flattens
 to n*(i-1)+(k-1), and the entry ((i,k),(j,l)) of an n^2 x n^2 matrix gets
@@ -348,13 +350,7 @@ def membership_system(c: RatMatrix, n: int, pairs) -> tuple[RatMatrix, list]:
 
     The coefficients are the ints 0 and 1; d holds the entries of c and 1.
     """
-    n4 = n ** 4
-    data = [[0] * len(pairs) for _ in range(n4)] + [[1] * len(pairs)]
-    for j, (p, q) in enumerate(pairs):
-        for v in kron_support(p, q):
-            data[v][j] = 1
-    d = [v for row in c.data for v in row] + [Fraction(1)]
-    return RatMatrix(n4 + 1, len(pairs), data), d
+    return _grouped_system(c, n, pairs, _canonical_groups(n))
 
 
 def weights_reconstruct(weights: dict, n: int) -> RatMatrix:
@@ -367,78 +363,64 @@ def weights_reconstruct(weights: dict, n: int) -> RatMatrix:
     return m
 
 
-def _reduced_rows(c: RatMatrix, n: int, pairs):
-    """Equivalent smaller equation system for the membership LP.
+@lru_cache(maxsize=None)
+def _canonical_groups(n: int):
+    """One group per canonical row: the entry rows, then the sum-to-1 row."""
+    return tuple((v,) for v in range(n ** 4 + 1))
 
-    The n^4 entry equations have row rank ((n-1)^2+1)^2; a spanning subset
-    can be written down directly: the entry equations with all four indices
-    below n, the block sums over (i,j) with i,j < n, the block sums over
-    (k,l) with k,l < n, and the total sum.  Each reduced row is an explicit
-    nonnegative combination of canonical rows, so certificates transfer back
-    verbatim (see _expand_farkas); any witness is re-checked against the
-    full system and falls back to it on mismatch.
+
+@lru_cache(maxsize=None)
+def _reduced_groups(n: int):
+    """The canonical rows summed by each row of the reduced system.
+
+    The n^4 entry equations have row rank ((n-1)^2+1)^2, and these sums
+    span them: the entries with all four indices below n, the block sums
+    over (i,j) with i,j < n, the block sums over (k,l) with k,l < n and the
+    total; the sum-to-1 row (canonical index n^4) follows as it is.
     """
     ti = TensorIndex(n)
     rng = range(1, n + 1)
     inner = range(1, n)
-    images = [(p.image, q.image) for p, q in pairs]
-    rows, d, tags = [], [], []
-    for i in inner:
-        for j in inner:
-            for k in inner:
-                for l in inner:
-                    rows.append([1 if (pi[i - 1] == j and qi[k - 1] == l)
-                                 else 0 for pi, qi in images])
-                    d.append(c.data[ti.flat(i, k)][ti.flat(j, l)])
-                    tags.append(("entry", ti.var(i, k, j, l)))
-    for i in inner:
-        for j in inner:
-            rows.append([n if pi[i - 1] == j else 0 for pi, _ in images])
-            d.append(sum((c.data[ti.flat(i, k)][ti.flat(j, l)]
-                          for k in rng for l in rng), Fraction(0)))
-            tags.append(("rowblock", i, j))
-    for k in inner:
-        for l in inner:
-            rows.append([n if qi[k - 1] == l else 0 for _, qi in images])
-            d.append(sum((c.data[ti.flat(i, k)][ti.flat(j, l)]
-                          for i in rng for j in rng), Fraction(0)))
-            tags.append(("colblock", k, l))
-    rows.append([n * n] * len(pairs))
-    d.append(sum((v for row in c.data for v in row), Fraction(0)))
-    tags.append(("total",))
-    rows.append([1] * len(pairs))
-    d.append(Fraction(1))
-    tags.append(("sumw",))
-    return rows, d, tags
-
-
-def _expand_farkas(y, tags, n: int):
-    """Lift a reduced-system certificate to the canonical row indexing."""
-    ti = TensorIndex(n)
+    entries = [(ti.var(i, k, j, l),) for i in inner for j in inner
+               for k in inner for l in inner]
+    rowblocks = [tuple(ti.var(i, k, j, l) for k in rng for l in rng)
+                 for i in inner for j in inner]
+    colblocks = [tuple(ti.var(i, k, j, l) for i in rng for j in rng)
+                 for k in inner for l in inner]
     n4 = n ** 4
-    rng = range(1, n + 1)
-    out = [Fraction(0)] * (n4 + 1)
-    for coef, tag in zip(y, tags):
-        if not coef:
-            continue
-        kind = tag[0]
-        if kind == "entry":
-            out[tag[1]] += coef
-        elif kind == "rowblock":
-            _, i, j = tag
-            for k in rng:
-                for l in rng:
-                    out[ti.var(i, k, j, l)] += coef
-        elif kind == "colblock":
-            _, k, l = tag
-            for i in rng:
-                for j in rng:
-                    out[ti.var(i, k, j, l)] += coef
-        elif kind == "total":
-            for v in range(n4):
-                out[v] += coef
-        else:  # sumw
-            out[n4] += coef
+    return (*entries, *rowblocks, *colblocks, tuple(range(n4)), (n4,))
+
+
+def _grouped_system(c: RatMatrix, n: int, pairs, groups):
+    """The LP data whose row r is the sum of the canonical rows in groups[r].
+
+    Column (p, q) of row r counts the members of groups[r] in
+    kron_support(p, q) + [n^4]; d_r sums c's entries, and the 1 of row n^4,
+    over the group, over ints with c's denominators cleared once.
+    """
+    n4 = n ** 4
+    member = [[] for _ in range(n4 + 1)]
+    for r, group in enumerate(groups):
+        for v in group:
+            member[v].append(r)
+    data = [[0] * len(pairs) for _ in groups]
+    for j, (p, q) in enumerate(pairs):
+        for v in (*kron_support(p, q), n4):
+            for r in member[v]:
+                data[r][j] += 1
+    mult, cs = clear_denominators([v for row in c.data for v in row])
+    cs.append(mult)
+    d = [Fraction(sum(cs[v] for v in group), mult) for group in groups]
+    return RatMatrix(len(groups), len(pairs), data), d
+
+
+def _lift_farkas(y, groups, n: int):
+    """A certificate over the canonical rows: each y_r added onto its group."""
+    out = [Fraction(0)] * (n ** 4 + 1)
+    for yr, group in zip(y, groups):
+        if yr:
+            for v in group:
+                out[v] += yr
     return out
 
 
@@ -466,6 +448,12 @@ def psi_contains(c: RatMatrix, n: int, mode: str = SUPPORT_FILTERED,
     solves the LP over the surviving columns.  full keeps all n!^2 columns
     and is capped at n <= 4 unless allow_large is set.  Both modes return
     verified witnesses or certificates and must agree on every input.
+
+    The LP runs first on the rows of _reduced_groups, which span the
+    canonical rows, so for c in the span of the Kronecker vertices both
+    have the same solutions; a reduced witness that does not rebuild c puts
+    c outside that span, and the canonical rows decide.  Certificates are
+    lifted to the canonical rows and re-checked.
     """
     nn = n * n
     if c.rows != nn or c.cols != nn:
@@ -487,29 +475,18 @@ def psi_contains(c: RatMatrix, n: int, mode: str = SUPPORT_FILTERED,
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    rows, d, tags = _reduced_rows(c, n, pairs)
-    outcome = lp_feasible(RatMatrix(len(rows), len(pairs), rows), d)
-    if outcome.feasible:
+    for groups in (_reduced_groups(n), _canonical_groups(n)):
+        outcome = lp_feasible(*_grouped_system(c, n, pairs, groups))
+        if not outcome.feasible:
+            y = _lift_farkas(outcome.farkas, groups, n)
+            if not _verify_psi_farkas(c, n, pairs, y):
+                raise AssertionError("lifted certificate failed verification")
+            return MembershipResult(False, mode, pairs, farkas=y,
+                                    admissible_count=admissible_count)
         weights = {(p.image, q.image): w
                    for (p, q), w in zip(pairs, outcome.witness) if w}
-        total = sum(weights.values(), Fraction(0))
-        if total == 1 and weights_reconstruct(weights, n) == c:
+        if (sum(weights.values(), Fraction(0)) == 1
+                and weights_reconstruct(weights, n) == c):
             return MembershipResult(True, mode, pairs, weights=weights,
                                     admissible_count=admissible_count)
-        # The reduced equations hold but the full system does not: c is not
-        # in the span of the Kronecker vertices.  Solve the canonical system
-        # directly; its verdict is authoritative.
-        canon, dcanon = membership_system(c, n, pairs)
-        outcome = lp_feasible(canon, dcanon)
-        if outcome.feasible:
-            weights = {(p.image, q.image): w
-                       for (p, q), w in zip(pairs, outcome.witness) if w}
-            return MembershipResult(True, mode, pairs, weights=weights,
-                                    admissible_count=admissible_count)
-        return MembershipResult(False, mode, pairs, farkas=outcome.farkas,
-                                admissible_count=admissible_count)
-    y = _expand_farkas(outcome.farkas, tags, n)
-    if not _verify_psi_farkas(c, n, pairs, y):
-        raise AssertionError("lifted certificate failed verification")
-    return MembershipResult(False, mode, pairs, farkas=y,
-                            admissible_count=admissible_count)
+    raise AssertionError("canonical witness failed reconstruction")

@@ -150,6 +150,32 @@ def test_verify_all_n3_no_lp():
     assert all(not r["stages"]["admissibility"] for r in reports)
 
 
+def test_verify_all_isolates_a_diverging_sigma(monkeypatch, capsys):
+    from tensorhull import cli, counterexample
+    from tensorhull.permutations import Permutation
+
+    bad = counterexample.build_T(3, Permutation((2, 1, 3)))
+    real = counterexample.phi_support_rank
+
+    def diverging(t, sys_):
+        if t == bad:
+            raise AssertionError("injected divergence")
+        return real(t, sys_)
+
+    monkeypatch.setattr(counterexample, "phi_support_rank", diverging)
+    code = cli.main(["verify-all", "--n", "3", "--all-sigmas",
+                     "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    reports = json.loads(captured.out)
+    assert len(reports) == 6
+    flagged = [r for r in reports if r["red_flags"]]
+    assert [r["sigma"]["image"] for r in flagged] == [[2, 1, 3]]
+    assert "injected divergence" in flagged[0]["red_flags"][0]
+    assert not flagged[0]["confirmed"]
+    assert "1 report(s) with failures or red flags" in captured.err
+
+
 def test_verify_all_sigmas_checks_cap_before_enumerating(monkeypatch, capsys):
     from tensorhull import cli, permutations
 

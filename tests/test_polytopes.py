@@ -36,6 +36,8 @@ from tensorhull.polytopes import (
     psi_contains,
     support_columns,
     weights_reconstruct,
+    _grouped_system,
+    _reduced_groups,
 )
 from helpers import (
     convex_combination,
@@ -332,18 +334,93 @@ def test_psi_full_n4_all_sigmas_matches_golden_bytes():
     assert text == (GOLDEN / "psi_full_n4_all_sigmas.json").read_text()
 
 
+def vertex_mix(rng, n: int, k: int) -> RatMatrix:
+    """Convex combination of k random Kronecker vertices."""
+    raw = [rng.randint(1, 9) for _ in range(k)]
+    mats = [kron(random_permutation(rng, n), random_permutation(rng, n))
+            for _ in range(k)]
+    return convex_combination(mats, [Fraction(w, sum(raw)) for w in raw])
+
+
+def span_perturbed(rng, n: int) -> RatMatrix:
+    """A 2-vertex mix with mass moved between two entries ((i,k),(j,l)) with
+    n in {i, j} and n in {k, l}: the reduced rows read those entries only
+    through the total, so only the canonical system can reject it."""
+    m = vertex_mix(rng, n, 2)
+    cells = [(n * i + k, n * j + l)
+             for i in range(n) for k in range(n)
+             for j in range(n) for l in range(n)
+             if n - 1 in (i, j) and n - 1 in (k, l)]
+    src = rng.choice([rc for rc in cells if m.data[rc[0]][rc[1]]])
+    dst = rng.choice([rc for rc in cells if rc != src])
+    eps = m.data[src[0]][src[1]] / 2
+    m.data[src[0]][src[1]] -= eps
+    m.data[dst[0]][dst[1]] += eps
+    return m
+
+
 def test_psi_modes_agree():
-    cases = []
-    for sigma in all_permutations(3):
-        cases.append((3, build_T(3, sigma)))
-    cases.append((2, uniform_matrix(2)))
+    # (n, matrix, expected verdict or None when only agreement is checked)
+    cases = [(3, build_T(3, sigma), None) for sigma in all_permutations(3)]
+    cases.append((2, uniform_matrix(2), True))
     rng = random.Random(48)
-    cases.append((3, kron(random_permutation(rng, 3), random_permutation(rng, 3))))
-    cases.append((4, build_T(4, identity(4))))
-    for n, c in cases:
+    cases.append((3, kron(random_permutation(rng, 3),
+                          random_permutation(rng, 3)), True))
+    cases.append((4, build_T(4, identity(4)), True))
+    for n in (3, 4):
+        rng = random.Random(70 + n)
+        cases.append((n, vertex_mix(rng, n, 2), True))
+        cases.append((n, vertex_mix(rng, n, 3), True))
+    rng = random.Random(75)
+    for spec in ("(3 4)", "(1 2 4)"):
+        t = build_T(4, parse_permutation(spec, 4))
+        p, q = random_permutation(rng, 4), random_permutation(rng, 4)
+        mix = convex_combination([t, kron(p, q)], [Fraction(1, 2)] * 2)
+        # Only p (x) q fits inside the support, and the mix is not p (x) q.
+        assert [(a.image, b.image) for a, b in admissible_pairs(mix, 4)] \
+            == [(p.image, q.image)]
+        cases.append((4, mix, False))
+    perturbed = []
+    for n in (3, 4):
+        m = span_perturbed(random.Random(80 + n), n)
+        perturbed.append(m)
+        cases.append((n, m, False))
+    for n, c, expected in cases:
         a = psi_contains(c, n, mode="support_filtered")
         b = psi_contains(c, n, mode="full")
         assert a.in_psi == b.in_psi
+        if expected is not None:
+            assert a.in_psi == expected
+        for res in (a, b):
+            if res.in_psi:
+                assert sum(res.weights.values()) == 1
+                assert weights_reconstruct(res.weights, n) == c
+            else:
+                assert check_farkas(*membership_system(c, n, res.pairs),
+                                    res.farkas)
+    # The perturbed inputs satisfy every reduced row: the verdict above came
+    # from the canonical system.
+    for n, m in zip((3, 4), perturbed):
+        reduced = _grouped_system(m, n, all_pairs(n), _reduced_groups(n))
+        assert lp_feasible(*reduced).feasible
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_reduced_rows_span_the_canonical_system(n):
+    pairs = all_pairs(n)
+    c = vertex_mix(random.Random(90 + n), n, 2)
+    reduced, d_reduced = _grouped_system(c, n, pairs, _reduced_groups(n))
+    canon, d_canon = membership_system(c, n, pairs)
+    assert rat_rank(reduced) == rat_rank(canon) == ((n - 1) ** 2 + 1) ** 2
+    # The canonical columns are the flattened vertices with a 1 appended.
+    for column, (p, q) in zip(zip(*canon.data), pairs):
+        assert list(column) == [v for row in kron(p, q).data for v in row] + [1]
+    assert d_canon == [v for row in c.data for v in row] + [1]
+    # Each reduced row and its rhs are the sums over their group.
+    for row, rhs, group in zip(reduced.data, d_reduced, _reduced_groups(n)):
+        assert row == [sum(col) for col in
+                       zip(*(canon.data[v] for v in group))]
+        assert rhs == sum(d_canon[v] for v in group)
 
 
 def test_psi_matches_direct_canonical_lp():
