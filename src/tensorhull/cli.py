@@ -10,7 +10,6 @@ import functools
 import json
 import multiprocessing
 import sys
-from fractions import Fraction
 from math import factorial
 
 from . import circulants, counterexample, permutations, polytopes
@@ -195,7 +194,7 @@ def cmd_psi_oracle(args) -> int:
     # for certificates (psi_contains already did; this guards the printout).
     if result.in_psi:
         recon = polytopes.weights_reconstruct(result.weights, args.n)
-        total = sum(result.weights.values(), Fraction(0))
+        total = sum(result.weights.values())
         verified = recon == m and total == 1
     else:
         canon, d = polytopes.membership_system(m, args.n, result.pairs)
@@ -344,11 +343,10 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        if args.n < 1:
+            raise UsageError(f"--n must be >= 1, got {args.n}")
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (AssertionError, RuntimeError) as exc:

@@ -39,10 +39,9 @@ def build_T(n: int, sigma: Permutation) -> RatMatrix:
     a = build_A(n)
     b = build_B(n, sigma)
     ti = TensorIndex(n)
-    zero = Fraction(0)
     val = Fraction(1, n)
     nn = n * n
-    data = [[zero] * nn for _ in range(nn)]
+    data = [[0] * nn for _ in range(nn)]
     for i in range(1, n + 1):
         for k in range(1, n + 1):
             m = a.at(i, k)
@@ -66,16 +65,15 @@ def verify_transfer_identity(t: RatMatrix, n: int, sigma: Permutation) -> bool:
     a = build_A(n)
     b = build_B(n, sigma)
     ti = TensorIndex(n)
-    one, zero = Fraction(1), Fraction(0)
     for m in range(1, n + 1):
-        u = [zero] * nn
-        v = [zero] * nn
+        u = [0] * nn
+        v = [0] * nn
         for i in range(1, n + 1):
             for k in range(1, n + 1):
                 if a.at(i, k) == m:
-                    u[ti.flat(i, k)] = one
+                    u[ti.flat(i, k)] = 1
                 if b.at(i, k) == m:
-                    v[ti.flat(i, k)] = one
+                    v[ti.flat(i, k)] = 1
         if t.matvec(v) != u:
             return False
     return True
@@ -167,21 +165,19 @@ def patterns_from_transfer(t: RatMatrix, n: int) -> tuple[VarMatrix, VarMatrix]:
     return VarMatrix(a_entries), VarMatrix(b_entries)
 
 
-def certify_not_in_psi(t: RatMatrix, n: int, cross_check: bool | None = None) -> bool:
+def certify_not_in_psi(t: RatMatrix, n: int) -> bool:
     """True iff no Kronecker vertex has its support inside the support of T.
 
     A convex combination equal to T would have to give zero weight to every
     vertex with a one outside supp(T); with no support-contained vertex at
     all, no combination exists, so True implies T is outside Psi.  The test
     runs through the pattern search (support containment of kron(p,q) is the
-    same as the patterns matching under (p,q)) and, for n <= 5 by default,
-    is cross-checked by a direct scan over all n!^2 supports.
+    same as the patterns matching under (p,q)) and, for n <= 5, is
+    cross-checked by a direct scan over all n!^2 supports.
     """
     a_rec, b_rec = patterns_from_transfer(t, n)
     absent = exists_PQ(a_rec, b_rec) is None
-    if cross_check is None:
-        cross_check = n <= 5
-    if cross_check:
+    if n <= 5:
         scan_absent = not admissible_pairs(t, n)
         if scan_absent != absent:
             raise RuntimeError(

@@ -35,7 +35,9 @@ def as_fraction(value) -> Fraction:
 class RatMatrix:
     """Dense matrix of exact rationals, row-major list of row lists.
 
-    Entries are int or Fraction; both have numerator and denominator.
+    Entries are int or Fraction; both have numerator and denominator.  An
+    integer value is held as an int, so divide entries through Fraction:
+    int / int is a float.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -57,13 +59,11 @@ class RatMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        zero = Fraction(0)
-        return cls(rows, cols, [[zero] * cols for _ in range(rows)])
+        return cls(rows, cols, [[0] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        zero, one = Fraction(0), Fraction(1)
-        return cls(n, n, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls(n, n, [[int(i == j) for j in range(n)] for i in range(n)])
 
     def __eq__(self, other):
         return (
@@ -88,7 +88,7 @@ class RatMatrix:
     def matvec(self, x):
         if len(x) != self.cols:
             raise ValueError("vector length does not match column count")
-        return [sum((row[j] * x[j] for j in range(self.cols) if row[j]), Fraction(0))
+        return [sum(row[j] * x[j] for j in range(self.cols) if row[j])
                 for row in self.data]
 
 
@@ -404,7 +404,7 @@ def _phase1_simplex(c_rows, d, nvars):
     """
     m = len(c_rows)
     if m == 0:
-        return FEASIBLE, [Fraction(0)] * nvars
+        return FEASIBLE, [0] * nvars
     # Flip signs so rhs >= 0; mults[i] maps certificates back to row i of C.
     arows, cols, mults, rhs = [], [[] for _ in range(nvars)], [], []
     for i, (row, di) in enumerate(zip(c_rows, d)):
@@ -498,7 +498,7 @@ def _phase1_simplex(c_rows, d, nvars):
             zscale //= g
         basis[r] = enter
     if z[-1] == 0:
-        x = [Fraction(0)] * nvars
+        x = [0] * nvars
         for i, j in enumerate(basis):
             if j < nvars:
                 # Row i holds a true 1 in its basic column: that is its scale.
@@ -510,14 +510,6 @@ def _phase1_simplex(c_rows, d, nvars):
     # the farkas vector is -y mapped through the row scaling.
     return INFEASIBLE, [(Fraction(z[nvars + i], zscale) - 1) * mults[i]
                         for i in range(m)]
-
-
-def random_rational_matrix(rng, rows: int, cols: int, max_num: int = 9,
-                           max_den: int = 9) -> RatMatrix:
-    """Random small-fraction matrix for tests and demos (rng: random.Random)."""
-    data = [[Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
-             for _ in range(cols)] for _ in range(rows)]
-    return RatMatrix(rows, cols, data)
 
 
 __all__ = [
@@ -534,5 +526,4 @@ __all__ = [
     "lp_feasible",
     "check_farkas",
     "clear_denominators",
-    "random_rational_matrix",
 ]

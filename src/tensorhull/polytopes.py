@@ -14,7 +14,7 @@ to n*(i-1)+(k-1), and the entry ((i,k),(j,l)) of an n^2 x n^2 matrix gets
 the flat variable index flat(i,k)*n^2 + flat(j,l).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -58,16 +58,14 @@ class TensorIndex:
 class ConstraintSystem:
     """Equality system C x = d with nonnegativity implicit, rows labeled.
 
-    Rows are stored sparsely as {flat variable index: integer coefficient};
-    the dense RatMatrix view is materialized on demand.
+    Rows are stored sparsely as {flat variable index: integer coefficient}
+    and d holds ints; the dense RatMatrix views hold the same ints.
     """
 
     n: int
     rows: list
     d: list
     labels: list
-    strict_families: bool = False
-    _dense: RatMatrix | None = field(default=None, repr=False, compare=False)
 
     @property
     def nrows(self) -> int:
@@ -78,28 +76,18 @@ class ConstraintSystem:
         return self.n ** 4
 
     def dense_matrix(self) -> RatMatrix:
-        if self._dense is None:
-            zero = Fraction(0)
-            data = []
-            for row in self.rows:
-                dense = [zero] * self.ncols
-                for c, v in row.items():
-                    dense[c] = Fraction(v)
-                data.append(dense)
-            self._dense = RatMatrix(self.nrows, self.ncols, data)
-        return self._dense
+        return self.column_submatrix(range(self.ncols))
 
     def column_submatrix(self, cols) -> RatMatrix:
         cols = list(cols)
-        zero = Fraction(0)
         pos = {c: j for j, c in enumerate(cols)}
         data = []
         for row in self.rows:
-            dense = [zero] * len(cols)
+            dense = [0] * len(cols)
             for c, v in row.items():
                 j = pos.get(c)
                 if j is not None:
-                    dense[j] = Fraction(v)
+                    dense[j] = v
             data.append(dense)
         return RatMatrix(self.nrows, len(cols), data)
 
@@ -150,10 +138,8 @@ def build_phi_constraints(n: int, strict_families: bool = False) -> ConstraintSy
         raise ValueError("n must be >= 1")
     ti = TensorIndex(n)
     rows, d, labels = [], [], []
-    one = Fraction(1)
-    zero = Fraction(0)
 
-    def add(row: dict, rhs: Fraction, label: str):
+    def add(row: dict, rhs: int, label: str):
         rows.append({c: v for c, v in row.items() if v})
         d.append(rhs)
         labels.append(label)
@@ -161,9 +147,9 @@ def build_phi_constraints(n: int, strict_families: bool = False) -> ConstraintSy
     rng = range(1, n + 1)
     for i in rng:
         for k in rng:
-            add({ti.var(i, k, j, l): 1 for j in rng for l in rng}, one,
+            add({ti.var(i, k, j, l): 1 for j in rng for l in rng}, 1,
                 f"rowsum[{i},{k}]")
-            add({ti.var(j, l, i, k): 1 for j in rng for l in rng}, one,
+            add({ti.var(j, l, i, k): 1 for j in rng for l in rng}, 1,
                 f"colsum[{i},{k}]")
 
     def balance(lhs_terms, rhs_terms, label):
@@ -172,7 +158,7 @@ def build_phi_constraints(n: int, strict_families: bool = False) -> ConstraintSy
             row[v] = row.get(v, 0) + 1
         for v in rhs_terms:
             row[v] = row.get(v, 0) - 1
-        add(row, zero, label)
+        add(row, 0, label)
 
     for i in range(2, n + 1):
         for k in rng:
@@ -200,7 +186,7 @@ def build_phi_constraints(n: int, strict_families: bool = False) -> ConstraintSy
             balance((ti.var(i, l, j, k) for l in rng),
                     (ti.var(i, 1, j, l) for l in rng),
                     f"fam4[i={i},k={k},j={j}]")
-    return ConstraintSystem(n, rows, d, labels, strict_families)
+    return ConstraintSystem(n, rows, d, labels)
 
 
 @dataclass
@@ -241,9 +227,8 @@ def kron(p: Permutation, q: Permutation) -> RatMatrix:
         raise ValueError("size mismatch")
     nn = p.n * p.n
     m = RatMatrix.zeros(nn, nn)
-    one = Fraction(1)
     for v in kron_support(p, q):
-        m.data[v // nn][v % nn] = one
+        m.data[v // nn][v % nn] = 1
     return m
 
 
@@ -292,10 +277,10 @@ def induced_marginals(c: RatMatrix, n: int,
         raise ValueError("matrix is not in Phi")
     ti = TensorIndex(n)
     rng = range(1, n + 1)
-    alpha = [[sum((c.data[ti.flat(i, 1)][ti.flat(j, l)] for l in rng),
-                  Fraction(0)) for j in rng] for i in rng]
-    beta = [[sum((c.data[ti.flat(1, k)][ti.flat(j, l)] for j in rng),
-                 Fraction(0)) for l in rng] for k in rng]
+    alpha = [[sum(c.data[ti.flat(i, 1)][ti.flat(j, l)] for l in rng)
+              for j in rng] for i in rng]
+    beta = [[sum(c.data[ti.flat(1, k)][ti.flat(j, l)] for j in rng)
+             for l in rng] for k in rng]
     return RatMatrix(n, n, alpha), RatMatrix(n, n, beta)
 
 
@@ -320,10 +305,6 @@ class MembershipResult:
     weights: dict | None = None
     farkas: list | None = None
     admissible_count: int | None = None
-
-    @property
-    def status(self) -> str:
-        return "feasible" if self.in_psi else "infeasible_certified"
 
 
 def all_pairs(n: int):
@@ -416,7 +397,7 @@ def _grouped_system(c: RatMatrix, n: int, pairs, groups):
 
 def _lift_farkas(y, groups, n: int):
     """A certificate over the canonical rows: each y_r added onto its group."""
-    out = [Fraction(0)] * (n ** 4 + 1)
+    out = [0] * (n ** 4 + 1)
     for yr, group in zip(y, groups):
         if yr:
             for v in group:
@@ -485,7 +466,7 @@ def psi_contains(c: RatMatrix, n: int, mode: str = SUPPORT_FILTERED,
                                     admissible_count=admissible_count)
         weights = {(p.image, q.image): w
                    for (p, q), w in zip(pairs, outcome.witness) if w}
-        if (sum(weights.values(), Fraction(0)) == 1
+        if (sum(weights.values()) == 1
                 and weights_reconstruct(weights, n) == c):
             return MembershipResult(True, mode, pairs, weights=weights,
                                     admissible_count=admissible_count)

@@ -34,8 +34,11 @@ def printed_transfer_matrix() -> RatMatrix:
 
 
 def plain_rank(m: RatMatrix) -> int:
-    """Rank by textbook rational Gaussian elimination (pivot, scale, clear)."""
-    data = [list(row) for row in m.data]
+    """Rank by textbook rational Gaussian elimination (pivot, scale, clear).
+
+    Entries are copied as Fractions: on int entries `1 / v` is a float.
+    """
+    data = [[Fraction(v) for v in row] for row in m.data]
     nrows, ncols = m.rows, m.cols
     rank = 0
     r = 0
@@ -55,6 +58,14 @@ def plain_rank(m: RatMatrix) -> int:
         if r == nrows:
             break
     return rank
+
+
+def random_rational_matrix(rng, rows: int, cols: int, max_num: int = 9,
+                           max_den: int = 9) -> RatMatrix:
+    """Random small-fraction matrix (rng: random.Random)."""
+    data = [[Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
+             for _ in range(cols)] for _ in range(rows)]
+    return RatMatrix(rows, cols, data)
 
 
 def brute_power_set(n: int):

@@ -322,6 +322,37 @@ def test_phi_check_strict_families(tmp_path):
     assert result.returncode == 0
 
 
+# The perturbed mix breaks rows with residuals like -1/6, so these bytes pin
+# how int coefficients and rhs mix with the Fraction entries of the input;
+# the strict reading lists fewer broken rows.
+@pytest.mark.parametrize("extra, fmt, golden", [
+    ((), "json", "phi_check_perturbed_n4.json"),
+    ((), "text", "phi_check_perturbed_n4_text.txt"),
+    (("--strict-families",), "json", "phi_check_perturbed_n4_strict.json"),
+    (("--strict-families",), "text", "phi_check_perturbed_n4_strict_text.txt"),
+])
+def test_phi_check_matches_golden_bytes(extra, fmt, golden):
+    result = run_cli("phi-check", str(GOLDEN / "psi_perturbed_n4.txt"),
+                     "--n", "4", "--format", fmt, *extra)
+    assert result.returncode == 1
+    assert result.stdout == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--n", "0", "--sigma", "identity"),
+    ("verify", "--n", "-2", "--sigma", "identity"),
+    ("verify-all", "--n", "0"),
+    ("count-sigmas", "--n", "0"),
+    ("build", "A", "--n", "-1"),
+    ("phi-check", "nope.txt", "--n", "0"),
+])
+def test_nonpositive_n_is_usage_error(argv):
+    result = run_cli(*argv)
+    assert result.returncode == 2
+    assert "--n must be >= 1" in result.stderr
+    assert "verification divergence" not in result.stderr
+
+
 def test_byte_identical_reruns():
     first = run_cli("build", "T", "--n", "4", "--sigma", "(3 4)")
     second = run_cli("build", "T", "--n", "4", "--sigma", "(3 4)")

@@ -14,11 +14,10 @@ from tensorhull.exactmath import (
     format_matrix,
     lp_feasible,
     parse_matrix,
-    random_rational_matrix,
     rat_rank,
 )
 from tensorhull.exactmath import _certified_rank, _sparse_integer_rows
-from helpers import brute_lp_feasible, plain_rank
+from helpers import brute_lp_feasible, plain_rank, random_rational_matrix
 
 
 def test_rank_identity():
@@ -42,6 +41,9 @@ def test_rank_matches_plain_elimination():
         cols = rng.randint(1, 6)
         m = random_rational_matrix(rng, rows, cols)
         assert rat_rank(m) == plain_rank(m)
+    # int entries past float precision: the oracle must stay exact on them
+    big = RatMatrix(2, 2, [[1, 2**60], [1, 2**60 + 1]])
+    assert rat_rank(big) == plain_rank(big) == 2
 
 
 def _certificate(m):

@@ -518,6 +518,22 @@ def test_strict_families_variant():
             assert phi_contains(m, default).ok == phi_contains(m, strict).ok
 
 
+@pytest.mark.parametrize("n, rank", [(2, 13), (3, 57), (4, 157), (5, 337)])
+def test_family_readings_define_the_same_affine_space(n, rank):
+    # the augmented rows [C | d] of either reading add no rank to the other's,
+    # so both have the same solutions and every membership verdict agrees
+    def augmented(sys):
+        return [row + [rhs] for row, rhs in zip(sys.dense_matrix().data, sys.d)]
+
+    default = augmented(build_phi_constraints(n))
+    strict = augmented(build_phi_constraints(n, strict_families=True))
+    cols = n ** 4 + 1
+    assert rat_rank(RatMatrix(len(default), cols, default)) == rank
+    assert rat_rank(RatMatrix(len(strict), cols, strict)) == rank
+    both = default + strict
+    assert rat_rank(RatMatrix(len(both), cols, both)) == rank
+
+
 def test_implied_equality_rows():
     # the omitted family-2 i=1 rows and family-4 k=1 rows are implied
     for n in (2, 3, 4, 5):
