@@ -345,6 +345,8 @@ def main(argv=None) -> int:
     try:
         if args.n < 1:
             raise UsageError(f"--n must be >= 1, got {args.n}")
+        if getattr(args, "workers", 1) < 1:
+            raise UsageError(f"--workers must be >= 1, got {args.workers}")
         return args.fn(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

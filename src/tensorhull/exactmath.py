@@ -21,12 +21,11 @@ FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 
 
-def as_fraction(value) -> Fraction:
-    """Coerce ints, strings like '3/4', and Fractions; floats are rejected."""
-    if isinstance(value, Fraction):
+def as_rational(value):
+    """An exact scalar: ints and Fractions as they are, strings like '3/4'
+    parsed to Fractions; floats are rejected."""
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
@@ -53,7 +52,7 @@ class RatMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "RatMatrix":
-        data = [[as_fraction(v) for v in row] for row in rows]
+        data = [[as_rational(v) for v in row] for row in rows]
         ncols = len(data[0]) if data else 0
         return cls(len(data), ncols, data)
 
@@ -364,7 +363,7 @@ def lp_feasible(c_matrix: RatMatrix, d) -> Feasibility:
     m, nvars = c_matrix.rows, c_matrix.cols
     if len(d) != m:
         raise ValueError("d length does not match row count of C")
-    d = [as_fraction(v) for v in d]
+    d = [as_rational(v) for v in d]
     status, x_or_y = _phase1_simplex(c_matrix.data, d, nvars)
     if status == FEASIBLE:
         x = x_or_y
@@ -391,16 +390,17 @@ def _phase1_simplex(c_rows, d, nvars):
     tableau is always B^-1 [A | I | b].  Only two parts of it are kept:
 
     - binv[i], row i of [B^-1 | B^-1 b] as a sparse {column: int} (the rhs
-      under key m), held at its own positive scale and divided by its gcd
-      after each update;
-    - z, the reduced costs of [A | I | b] (for min sum of artificials),
-      times the positive integer zscale.
+      under key m), held at its own positive scale;
+    - zc and za, the reduced costs of [A | I | b] (for min sum of
+      artificials), times the positive integer zscale.
 
     Each pivot builds the entering column B^-1 A_e from the sparse columns
-    of A, rewrites only the rows where it is nonzero, and updates z through
-    the pivot row [binv[r] A | binv[r]].  The rules read only ratios inside
-    one row and comparisons inside z, so the positive scales leave the pivot
-    sequence that of the full tableau.
+    of A, rewrites in place only the rows where it is nonzero and only at
+    the pivot row's keys, and updates z through the pivot row
+    [binv[r] A | binv[r]].  A row, or z, is multiplied only when the pivot
+    does not divide its entry, and only then divided by its gcd again.  The
+    rules read only ratios inside one row and comparisons inside z, so the
+    positive scales leave the pivot sequence that of the full tableau.
     """
     m = len(c_rows)
     if m == 0:
@@ -420,20 +420,19 @@ def _phase1_simplex(c_rows, d, nvars):
         rhs.append(ints[-1])
     binv = [{i: 1, m: b} if b else {i: 1} for i, b in enumerate(rhs)]
     holders = [{i} for i in range(m)]  # holders[k]: rows i with k in binv[i]
-    # Phase-1 reduced costs: 0 - sum of the rows on the structural columns
-    # and the rhs, 1 - 1 = 0 on the artificials.
-    z = [0] * (nvars + m + 1)
+    # Phase-1 reduced costs, zc on the structural columns (0 - the column
+    # sums) and za on the artificials (1 - 1 = 0) and the rhs (index m).
+    zc, za = [0] * nvars, [0] * m + [-sum(rhs)]
     for entries in arows:
         for j, v in entries:
-            z[j] -= v
-    z[-1] = -sum(rhs)
+            zc[j] -= v
     zscale = 1
     basis = list(range(nvars, nvars + m))
     while True:
-        best = min(z[:nvars], default=0)  # artificials never re-enter
+        best = min(zc, default=0)  # artificials never re-enter
         if best >= 0:
             break
-        enter = z.index(best)
+        enter = zc.index(best)
         col = {}
         for k, v in cols[enter]:
             for i in holders[k]:
@@ -443,22 +442,21 @@ def _phase1_simplex(c_rows, d, nvars):
         if not cands:
             # Phase-1 objective is bounded below by 0, so this cannot happen.
             raise AssertionError("phase-1 ratio test found no pivot row")
-        # Lexicographic ratio test on (rhs, artificial columns): the first
-        # key where two rows' ratios differ decides.  A column where both
-        # rows are zero ties them, so only their own columns are read.
-        def lex_cmp(i, j):
-            ri, rj = binv[i], binv[j]
-            for k in (m, *sorted((ri.keys() | rj.keys()) - {m})):
-                c = ri.get(k, 0) * col[j] - rj.get(k, 0) * col[i]
-                if c:
-                    return c
-            # Rows tied on every key would have proportional B^-1 rows.
-            raise AssertionError("lexicographic ratio test left a tie")
-
+        # Lexicographic ratio test on (rhs, artificial columns): every rhs is
+        # >= 0, so zero-rhs rows win first; then each artificial column in
+        # turn keeps the rows of least ratio.  Columns no survivor holds tie
+        # them all, and so does the rhs key m, which sorts last.
+        cands = ([i for i in cands if m not in binv[i]]
+                or _least_ratio(cands, m, binv, col))
+        if len(cands) > 1:
+            for k in sorted(set().union(*(binv[i] for i in cands))):
+                cands = _least_ratio(cands, k, binv, col)
+                if len(cands) == 1:
+                    break
+            else:
+                # Rows tied on every key would have proportional B^-1 rows.
+                raise AssertionError("lexicographic ratio test left a tie")
         r = cands[0]
-        for i in cands[1:]:
-            if lex_cmp(i, r) < 0:
-                r = i
         prow = binv[r]
         piv = col[r]
         for i, a in col.items():
@@ -466,38 +464,42 @@ def _phase1_simplex(c_rows, d, nvars):
                 continue
             g = gcd(piv, a)
             f, h = piv // g, a // g
-            new = {k: f * v for k, v in binv[i].items()}
+            row = binv[i]
+            if f != 1:
+                row = binv[i] = {k: f * v for k, v in row.items()}
             for k, v in prow.items():
-                old = new.get(k)
-                w = (old or 0) - h * v
+                w = row.get(k, 0) - h * v
                 if w:
-                    new[k] = w
-                    if old is None and k < m:
+                    if k < m and k not in row:
                         holders[k].add(i)
+                    row[k] = w
                 else:
-                    del new[k]
+                    del row[k]
                     if k < m:
                         holders[k].discard(i)
-            g = gcd(*new.values())
-            binv[i] = {k: v // g for k, v in new.items()} if g > 1 else new
+            if f != 1:
+                g = gcd(*row.values())
+                if g > 1:
+                    binv[i] = {k: v // g for k, v in row.items()}
         # z -= z_e * (pivot row / piv), both sides kept integral.
-        g = gcd(piv, z[enter])
-        f, h = piv // g, z[enter] // g
+        g = gcd(piv, zc[enter])
+        f, h = piv // g, zc[enter] // g
         if f != 1:
-            z = list(map(mul, z, repeat(f)))
+            zc, za = [v * f for v in zc], [v * f for v in za]
             zscale *= f
         for k, v in prow.items():
             hv = h * v
-            z[nvars + k] -= hv  # artificial k, or the rhs when k == m
+            za[k] -= hv  # artificial k, or the rhs when k == m
             if k < m:
                 for j, a in arows[k]:
-                    z[j] -= hv * a
-        g = gcd(zscale, *z)
-        if g > 1:
-            z = [x // g for x in z]
-            zscale //= g
+                    zc[j] -= hv * a
+        if f != 1:
+            g = gcd(zscale, *zc, *za)
+            if g > 1:
+                zc, za = [v // g for v in zc], [v // g for v in za]
+                zscale //= g
         basis[r] = enter
-    if z[-1] == 0:
+    if za[m] == 0:
         x = [0] * nvars
         for i, j in enumerate(basis):
             if j < nvars:
@@ -508,9 +510,21 @@ def _phase1_simplex(c_rows, d, nvars):
     # Positive phase-1 objective: read the dual off the artificial columns.
     # For artificial i the reduced cost is 1 - y_i, so y_i = 1 - z_i/zscale;
     # the farkas vector is -y mapped through the row scaling.
-    return INFEASIBLE, [(Fraction(z[nvars + i], zscale) - 1) * mults[i]
+    return INFEASIBLE, [(Fraction(za[i], zscale) - 1) * mults[i]
                         for i in range(m)]
 
+
+def _least_ratio(cands, k, binv, col):
+    """The rows i in cands of least binv[i][k] / col[i]; each col[i] > 0."""
+    keep, kb, cb = [], 0, 1
+    for i in cands:
+        v = binv[i].get(k, 0)
+        c = v * cb - kb * col[i]
+        if c < 0 or not keep:
+            keep, kb, cb = [i], v, col[i]
+        elif c == 0:
+            keep.append(i)
+    return keep
 
 __all__ = [
     "Fraction",
@@ -518,7 +532,7 @@ __all__ = [
     "Feasibility",
     "FEASIBLE",
     "INFEASIBLE",
-    "as_fraction",
+    "as_rational",
     "parse_matrix",
     "format_matrix",
     "rat_rank",

@@ -7,6 +7,7 @@ solves.  Tests compare library results against these.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from tensorhull.exactmath import RatMatrix
@@ -191,3 +192,54 @@ def _solve_independent(aug, k):
     if any(row[k] for row in aug[r:]):
         return None  # inconsistent
     return [aug[i][k] for i in range(k)]
+
+
+def reference_simplex(c: RatMatrix, d):
+    """(status, witness or Farkas vector) for {x >= 0 : Cx = d} from a dense
+    Fraction phase-1 tableau that follows lp_feasible's pivot rules.
+
+    Row i of [C | d] is scaled by the lcm of its denominators, negated when
+    its rhs is negative, and given an artificial column; phase 1 minimises
+    the sum of the artificials.  Entering column: most negative reduced
+    cost, lowest index on ties.  Leaving row: least (rhs, artificial
+    columns) / pivot entry in lexicographic order, which must be unique.
+    The witness is the final basic solution; the Farkas vector is -y mapped
+    back through the row scaling, y the duals of the final basis.
+    """
+    m, nvars = c.rows, c.cols
+    tab, mults = [], []
+    for i, (row, di) in enumerate(zip(c.data, d)):
+        values = [Fraction(v) for v in (*row, di)]
+        mult = math.lcm(*(v.denominator for v in values))
+        if values[-1] < 0:
+            mult = -mult
+        scaled = [v * mult for v in values]
+        tab.append(scaled[:-1] + [Fraction(int(k == i)) for k in range(m)]
+                   + scaled[-1:])
+        mults.append(mult)
+    # Reduced costs of [A | I | b] for cost 0 on A and 1 on the artificials.
+    z = [int(nvars <= j < nvars + m) - sum(col)
+         for j, col in enumerate(zip(*tab))]
+    basis = list(range(nvars, nvars + m))
+    while min(z[:nvars], default=0) < 0:
+        e = z.index(min(z[:nvars]))
+        keys = sorted(([t[-1] / t[e], *(v / t[e] for v in t[nvars:-1])], i)
+                      for i, t in enumerate(tab) if t[e] > 0)
+        if len(keys) > 1 and keys[0][0] == keys[1][0]:
+            raise AssertionError("lexicographic ratio test left a tie")
+        r = keys[0][1]
+        tab[r] = [v / tab[r][e] for v in tab[r]]
+        for i, t in enumerate(tab):
+            if i != r and t[e]:
+                f = t[e]
+                tab[i] = [a - f * b if b else a for a, b in zip(t, tab[r])]
+        f = z[e]
+        z = [a - f * b if b else a for a, b in zip(z, tab[r])]
+        basis[r] = e
+    if not m or z[-1] == 0:
+        x = [Fraction(0)] * nvars
+        for t, j in zip(tab, basis):
+            if j < nvars:
+                x[j] = t[-1]
+        return "feasible", x
+    return "infeasible", [(z[nvars + i] - 1) * mults[i] for i in range(m)]

@@ -113,7 +113,7 @@ def test_verify_n5_certificate_path():
 
 
 def test_verify_n5_full_lp_within_budget():
-    # about 2.7 s on a 2-core x86-64 host, where the dense tableau took 19 s
+    # about 1.6 s on a 2-core x86-64 host, where the dense tableau took 19 s
     budget = 30.0
     t0 = time.perf_counter()
     result = run_cli("verify", "--n", "5", "--sigma", "(4 5)", "--lp",
@@ -351,6 +351,14 @@ def test_nonpositive_n_is_usage_error(argv):
     assert result.returncode == 2
     assert "--n must be >= 1" in result.stderr
     assert "verification divergence" not in result.stderr
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_nonpositive_workers_is_usage_error(workers):
+    result = run_cli("verify-all", "--n", "4", "--no-lp", "--workers", workers)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert f"--workers must be >= 1, got {workers}" in result.stderr
 
 
 def test_byte_identical_reruns():

@@ -17,7 +17,12 @@ from tensorhull.exactmath import (
     rat_rank,
 )
 from tensorhull.exactmath import _certified_rank, _sparse_integer_rows
-from helpers import brute_lp_feasible, plain_rank, random_rational_matrix
+from helpers import (
+    brute_lp_feasible,
+    plain_rank,
+    random_rational_matrix,
+    reference_simplex,
+)
 
 
 def test_rank_identity():
@@ -261,6 +266,10 @@ def test_lp_status_matches_basis_enumeration():
         c, d = _degenerate_system(rng, DEGENERATE_KINDS[trial % 6])
         res = lp_feasible(c, d)
         assert res.feasible == brute_lp_feasible(c, d), (trial, c.data, d)
+        # The revised simplex takes the dense tableau's pivots, so it returns
+        # the same witness or Farkas vector.
+        out = res.witness if res.feasible else res.farkas
+        assert (res.status, out) == reference_simplex(c, d), (trial, c.data, d)
         seen[res.status] += 1
     assert min(seen.values()) >= 40, seen
 
@@ -278,6 +287,18 @@ def test_matrix_text_parse_errors():
         parse_matrix("2 2\n1 2\n3")
     with pytest.raises(ValueError):
         parse_matrix("1\n1")
+
+
+def test_scalars_keep_ints_and_reject_floats():
+    m = RatMatrix.from_rows([[1, 2], ["3/4", Fraction(5, 6)]])
+    assert m.data == [[1, 2], [Fraction(3, 4), Fraction(5, 6)]]
+    assert [type(v) for v in m.data[0]] == [int, int]
+    with pytest.raises(TypeError):
+        RatMatrix.from_rows([[1, 0.5]])
+    with pytest.raises(TypeError):
+        lp_feasible(RatMatrix.from_rows([[1, 1]]), [1.0])
+    res = lp_feasible(RatMatrix.from_rows([[1, 2]]), [4])
+    assert res.witness == [0, 2]
 
 
 def test_matrix_shape_validation():

@@ -36,6 +36,7 @@ from tensorhull.polytopes import (
     psi_contains,
     support_columns,
     weights_reconstruct,
+    _canonical_groups,
     _grouped_system,
     _reduced_groups,
 )
@@ -43,6 +44,7 @@ from helpers import (
     convex_combination,
     random_doubly_stochastic,
     random_permutation,
+    reference_simplex,
     shift_pair,
     tensor_product,
 )
@@ -334,6 +336,18 @@ def test_psi_full_n4_all_sigmas_matches_golden_bytes():
     assert text == (GOLDEN / "psi_full_n4_all_sigmas.json").read_text()
 
 
+def test_psi_full_n5_farkas_matches_golden_bytes():
+    # At n=5 the row scale factors and the ratio-test ties differ from n=4;
+    # the certificate was recorded from the revised simplex that divided
+    # every updated row by its gcd.
+    sigma = parse_permutation("(4 5)", 5)
+    res = psi_contains(build_T(5, sigma), 5, mode="full", allow_large=True)
+    entry = {"sigma": list(sigma.image), "in_psi": res.in_psi,
+             "farkas": [str(v) for v in res.farkas]}
+    text = json.dumps(entry) + "\n"
+    assert text == (GOLDEN / "psi_full_n5_s45.json").read_text()
+
+
 def vertex_mix(rng, n: int, k: int) -> RatMatrix:
     """Convex combination of k random Kronecker vertices."""
     raw = [rng.randint(1, 9) for _ in range(k)]
@@ -421,6 +435,31 @@ def test_reduced_rows_span_the_canonical_system(n):
         assert row == [sum(col) for col in
                        zip(*(canon.data[v] for v in group))]
         assert rhs == sum(d_canon[v] for v in group)
+
+
+def test_psi_lp_pivots_match_reference_tableau():
+    # Seeded Psi systems, reduced and canonical, over the support-filtered
+    # pairs and (at n=3, and for one n=4 matrix) over all pairs: the revised
+    # simplex must return the dense tableau's witness or Farkas vector.
+    rng = random.Random(2026)
+    systems = []
+    for n in (3, 4):
+        mats = [build_T(n, random_permutation(rng, n)), vertex_mix(rng, n, 2),
+                vertex_mix(rng, n, 3), span_perturbed(rng, n)]
+        for k, c in enumerate(mats):
+            pair_sets = [admissible_pairs(c, n)]
+            if n == 3 or k == 1:
+                pair_sets.append(all_pairs(n))
+            for pairs in pair_sets:
+                for groups in (_reduced_groups(n), _canonical_groups(n)):
+                    systems.append(_grouped_system(c, n, pairs, groups))
+    seen = set()
+    for c, d in systems:
+        res = lp_feasible(c, d)
+        out = res.witness if res.feasible else res.farkas
+        assert (res.status, out) == reference_simplex(c, d)
+        seen.add(res.status)
+    assert len(seen) == 2
 
 
 def test_psi_matches_direct_canonical_lp():
