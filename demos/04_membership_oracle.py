@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Decide hull membership two independent ways.
 
-The support certificate scans for Kronecker vertices whose ones all sit
+The support certificate searches for Kronecker vertices whose ones all sit
 inside the support of T; the LP oracle solves the exact convex-combination
 system over all 576 vertex columns and returns a machine-checkable witness
 or Farkas certificate.  The two must always agree.

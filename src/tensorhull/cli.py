@@ -151,8 +151,9 @@ def cmd_verify_all(args) -> int:
         sigmas = permutations.enumerate_counterexample_sigmas(
             args.n, args.sn_cap)
     jobs = [(args.n, s.image, args.lp, args.strict_families) for s in sigmas]
-    if args.workers > 1:
-        with multiprocessing.Pool(args.workers) as pool:
+    workers = min(args.workers, len(jobs))
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             reports = pool.map(_verify_worker, jobs)
     else:
         reports = [_verify_worker(job) for job in jobs]

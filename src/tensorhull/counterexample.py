@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .circulants import VarMatrix, build_A, build_B, exists_PQ
+from .circulants import build_A, build_B, exists_PQ
 from .exactmath import RatMatrix
 from .permutations import Permutation, is_counterexample_sigma
 from .polytopes import (
@@ -130,60 +130,16 @@ def block_structure_report(t: RatMatrix, n: int) -> BlockReport:
     return BlockReport(not failures, failures)
 
 
-def patterns_from_transfer(t: RatMatrix, n: int) -> tuple[VarMatrix, VarMatrix]:
-    """Recover the two variable patterns from T, up to consistent relabeling.
-
-    Rows of T with identical content correspond to cells of the plain
-    circulant holding one variable; a column belongs to the class of the
-    rows it meets.  Raises if T is not of the transfer-matrix form.
-    """
-    nn = n * n
-    if t.rows != nn or t.cols != nn:
-        raise ValueError("shape mismatch")
-    val = Fraction(1, n)
-    for row in t.data:
-        for v in row:
-            if v and v != val:
-                raise ValueError("entries must be 0 or 1/n")
-    classes: dict[tuple, int] = {}
-    row_class = []
-    for row in t.data:
-        key = tuple(row)
-        if key not in classes:
-            classes[key] = len(classes) + 1
-        row_class.append(classes[key])
-    if len(classes) != n:
-        raise ValueError(f"expected {n} distinct row patterns, got {len(classes)}")
-    a_entries = [[row_class[i * n + k] for k in range(n)] for i in range(n)]
-    col_class = []
-    for cf in range(nn):
-        owners = {row_class[rf] for rf in range(nn) if t.data[rf][cf]}
-        if len(owners) != 1:
-            raise ValueError(f"column {cf} meets {len(owners)} row classes")
-        col_class.append(owners.pop())
-    b_entries = [[col_class[j * n + l] for l in range(n)] for j in range(n)]
-    return VarMatrix(a_entries), VarMatrix(b_entries)
-
-
 def certify_not_in_psi(t: RatMatrix, n: int) -> bool:
     """True iff no Kronecker vertex has its support inside the support of T.
 
     A convex combination equal to T would have to give zero weight to every
     vertex with a one outside supp(T); with no support-contained vertex at
-    all, no combination exists, so True implies T is outside Psi.  The test
-    runs through the pattern search (support containment of kron(p,q) is the
-    same as the patterns matching under (p,q)) and, for n <= 5, is
-    cross-checked by a direct scan over all n!^2 supports.
+    all, no combination exists, so True implies T is outside Psi.  The
+    pruned support search of admissible_pairs decides it; raises ValueError
+    unless T is n^2 x n^2.
     """
-    a_rec, b_rec = patterns_from_transfer(t, n)
-    absent = exists_PQ(a_rec, b_rec) is None
-    if n <= 5:
-        scan_absent = not admissible_pairs(t, n)
-        if scan_absent != absent:
-            raise RuntimeError(
-                "pattern search and support scan disagree: "
-                f"search says absent={absent}, scan says absent={scan_absent}")
-    return absent
+    return not admissible_pairs(t, n)
 
 
 @dataclass

@@ -200,6 +200,8 @@ def parse_permutation(text: str, n: int) -> Permutation:
                 flush_token()
                 token = ""
             elif ch.isdigit():
+                if not depth:
+                    raise ValueError(f"digit {ch!r} outside a cycle")
                 token += ch
             else:
                 raise ValueError(f"unexpected character {ch!r} in cycle notation")

@@ -314,16 +314,47 @@ def all_pairs(n: int):
 
 
 def admissible_pairs(c: RatMatrix, n: int):
-    """Pairs whose Kronecker support sits inside the support of c."""
-    perms = list(all_permutations(n))
-    data = c.data
-    # Cell by cell instead of through kron_support: most pairs fail at one
-    # of their first cells, and building each whole support first makes the
-    # 14,400-pair scan of an n=5 transfer matrix about four times slower.
-    return [(p, q) for p in perms for q in perms
-            if all(data[n * i + k][n * (pi - 1) + qk - 1]
-                   for i, pi in enumerate(p.image)
-                   for k, qk in enumerate(q.image))]
+    """Every (p, q) whose Kronecker support sits inside the support of c,
+    in lexicographic order of (p image, q image).
+
+    A pruned exhaustive search: p grows one row block i at a time, and for
+    each k a bitmask holds the columns l still open to q(k), those with
+    c[(i,k),(p(i),l)] nonzero for every placed i.  A prefix of p that
+    leaves some k no open column is cut; each complete p lists its q's
+    among the open columns.
+    """
+    nn = n * n
+    if c.rows != nn or c.cols != nn:
+        raise ValueError(f"matrix must be {nn} x {nn}")
+    rng = range(n)
+    # masks[i][j][k]: bit l is set iff c[(i,k),(j,l)] is nonzero.
+    masks = [[[sum(1 << l for l in rng if c.data[n * i + k][n * j + l])
+               for k in rng] for j in rng] for i in rng]
+    out = []
+
+    def qs(open_, k, used):
+        if k == n:
+            yield ()
+            return
+        free = open_[k] & ~used
+        for l in rng:
+            if free >> l & 1:
+                for rest in qs(open_, k + 1, used | 1 << l):
+                    yield (l + 1, *rest)
+
+    def grow(i, used, p_img, open_):
+        if i == n:
+            p = Permutation(p_img)
+            out.extend((p, Permutation(q_img)) for q_img in qs(open_, 0, 0))
+            return
+        for j in rng:
+            if not used >> j & 1:
+                nxt = [a & b for a, b in zip(open_, masks[i][j])]
+                if all(nxt):
+                    grow(i + 1, used | 1 << j, (*p_img, j + 1), nxt)
+
+    grow(0, 0, (), [(1 << n) - 1] * n)
+    return out
 
 
 def membership_system(c: RatMatrix, n: int, pairs) -> tuple[RatMatrix, list]:

@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 from tensorhull.exactmath import RatMatrix
-from tensorhull.permutations import Permutation
+from tensorhull.permutations import Permutation, all_permutations
 
 # The published 16x16 transfer matrix for n=4, sigma=(3 4), transcribed by
 # hand as the 1-based column positions of the 1/4 entries in each row.
@@ -100,6 +100,17 @@ def brute_exists_PQ(a_entry, b_entry):
                    for i in idx for k in idx):
                 return (tuple(v + 1 for v in p), tuple(v + 1 for v in q))
     return None
+
+
+def brute_admissible_pairs(c: RatMatrix, n: int):
+    """Every (p, q) with kron(p, q) inside supp(c): a scan of all n!^2 pairs,
+    in lexicographic order of (p image, q image)."""
+    perms = list(all_permutations(n))
+    data = c.data
+    return [(p, q) for p in perms for q in perms
+            if all(data[n * i + k][n * (pi - 1) + qk - 1]
+                   for i, pi in enumerate(p.image)
+                   for k, qk in enumerate(q.image))]
 
 
 def random_permutation(rng, n: int) -> Permutation:

@@ -51,9 +51,11 @@ def test_build_missing_sigma_is_usage_error():
     assert result.returncode == 2
 
 
-def test_bad_sigma_is_usage_error():
-    result = run_cli("verify", "--n", "4", "--sigma", "(1 9)")
+@pytest.mark.parametrize("spec", ["(1 9)", "(3 4) 2"])
+def test_bad_sigma_is_usage_error(spec):
+    result = run_cli("verify", "--n", "4", "--sigma", spec, "--no-lp")
     assert result.returncode == 2
+    assert result.stdout == ""
 
 
 def test_count_sigmas():
@@ -186,6 +188,43 @@ def test_verify_all_sigmas_checks_cap_before_enumerating(monkeypatch, capsys):
     code = cli.main(["verify-all", "--n", "12", "--all-sigmas", "--no-lp"])
     assert code == 2
     assert "n=12 exceeds --sn-cap 8" in capsys.readouterr().err
+
+
+def test_verify_all_pool_never_exceeds_the_jobs(monkeypatch, capsys):
+    # The fake pool maps in this process: no worker is ever started.
+    from tensorhull import cli
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(cli.multiprocessing, "Pool", FakePool)
+    strip = lambda text: [{k: v for k, v in r.items() if k != "timings"}
+                          for r in json.loads(text)]
+    outputs = []
+    for n, extra, workers, expected in (
+            ("3", [], "64", []),                  # 0 sigmas: serial
+            ("3", ["--all-sigmas"], "64", [6]),   # 6 sigmas: 6 workers
+            ("3", ["--all-sigmas"], "1", [])):    # serial
+        sizes.clear()
+        code = cli.main(["verify-all", "--n", n, *extra, "--no-lp",
+                         "--format", "json", "--workers", workers])
+        assert code == 0
+        assert sizes == expected
+        outputs.append(strip(capsys.readouterr().out))
+    assert outputs[0] == []
+    assert outputs[1] == outputs[2] and len(outputs[1]) == 6
 
 
 def test_verify_all_text_summary_table():

@@ -14,10 +14,8 @@ from tensorhull.counterexample import (
     build_T,
     certify_not_in_psi,
     full_verification,
-    patterns_from_transfer,
     verify_transfer_identity,
 )
-from tensorhull.circulants import build_A, build_B
 from tensorhull.exactmath import RatMatrix
 from tensorhull.permutations import (
     all_permutations,
@@ -103,31 +101,6 @@ def test_block_structure_all_sigmas_n3():
         assert block_structure_report(build_T(3, sigma), 3).ok
 
 
-def test_patterns_recovered_from_T():
-    for n in (2, 3, 4, 5):
-        rng = random.Random(52 + n)
-        imgs = list(all_permutations(n))
-        for sigma in rng.sample(imgs, min(4, len(imgs))):
-            t = build_T(n, sigma)
-            a_rec, b_rec = patterns_from_transfer(t, n)
-            # recovery relabels variables by first appearance in A's rows;
-            # the plain circulant's first row is 1..n already, so A and B
-            # come back exactly
-            assert a_rec == build_A(n)
-            assert b_rec == build_B(n, sigma)
-
-
-def test_patterns_reject_malformed():
-    uniform = RatMatrix(16, 16, [[Fraction(1, 16)] * 16 for _ in range(16)])
-    with pytest.raises(ValueError):
-        patterns_from_transfer(uniform, 4)
-    t = build_T(4, identity(4))
-    data = [list(row) for row in t.data]
-    data[0][0] = Fraction(1, 2)
-    with pytest.raises(ValueError):
-        patterns_from_transfer(RatMatrix(16, 16, data), 4)
-
-
 def test_certify_examples():
     assert certify_not_in_psi(build_T(4, parse_permutation("(3 4)", 4)), 4)
     assert not certify_not_in_psi(build_T(4, identity(4)), 4)
@@ -136,10 +109,19 @@ def test_certify_examples():
 
 def test_certify_agrees_with_admissibility():
     from tensorhull.permutations import is_counterexample_sigma
-    for n in (2, 3, 4):
-        for sigma in all_permutations(n):
-            cert = certify_not_in_psi(build_T(n, sigma), n)
-            assert cert == is_counterexample_sigma(sigma)
+    sigmas = [s for n in (2, 3, 4, 5) for s in all_permutations(n)]
+    sigmas += random.Random(66).sample(list(all_permutations(6)), 60)
+    for sigma in sigmas:
+        cert = certify_not_in_psi(build_T(sigma.n, sigma), sigma.n)
+        assert cert == is_counterexample_sigma(sigma)
+
+
+def test_certify_rejects_wrong_shape():
+    t = build_T(3, identity(3))
+    with pytest.raises(ValueError):
+        certify_not_in_psi(t, 4)
+    with pytest.raises(ValueError):
+        certify_not_in_psi(RatMatrix(9, 8, [row[:8] for row in t.data]), 3)
 
 
 def test_full_verification_flagship():

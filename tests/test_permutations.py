@@ -154,7 +154,8 @@ def test_parse_image_and_cycles():
 
 
 def test_parse_errors():
-    for bad in ("", "1 2 2", "1 2", "(1 2", "(1 2)(2 3)", "(0 1)", "(1 5)"):
+    for bad in ("", "1 2 2", "1 2", "(1 2", "(1 2)(2 3)", "(0 1)", "(1 5)",
+                "(1 2) 3", "3(1 2)", "(1 2) 3 4"):
         with pytest.raises(ValueError):
             parse_permutation(bad, 4)
 

@@ -41,6 +41,7 @@ from tensorhull.polytopes import (
     _reduced_groups,
 )
 from helpers import (
+    brute_admissible_pairs,
     convex_combination,
     random_doubly_stochastic,
     random_permutation,
@@ -539,6 +540,44 @@ def test_admissible_pairs_and_support():
     supp = set(support_columns(t))
     for p, q in pairs:
         assert set(kron_support(p, q)) <= supp
+
+
+def test_admissible_pairs_match_brute_scan():
+    # The pruned search must return the n!^2 scan's list: the same pairs in
+    # the same order.
+    rng = random.Random(2027)
+    cases = [(n, build_T(n, s)) for n in (3, 4) for s in all_permutations(n)]
+    cases += [(5, build_T(5, s))
+              for s in rng.sample(list(all_permutations(5)), 12)]
+    for n in (3, 4):
+        cases += [(n, vertex_mix(rng, n, 2)), (n, vertex_mix(rng, n, 3)),
+                  (n, span_perturbed(rng, n))]
+    for spec in ("(3 4)", "(1 2 4)"):
+        t = build_T(4, parse_permutation(spec, 4))
+        p, q = random_permutation(rng, 4), random_permutation(rng, 4)
+        cases.append((4, convex_combination([t, kron(p, q)],
+                                            [Fraction(1, 2)] * 2)))
+    for n in (3, 4, 5):
+        nn = n * n
+        for density in (0.6, 0.8, 0.9, 0.97):
+            cases.append((n, RatMatrix(nn, nn, [
+                [int(rng.random() < density) for _ in range(nn)]
+                for _ in range(nn)])))
+    cases += [(n, uniform_matrix(n)) for n in (1, 2, 3, 4)]
+    key = lambda pairs: [(p.image, q.image) for p, q in pairs]
+    found = 0
+    for n, c in cases:
+        pairs = key(admissible_pairs(c, n))
+        assert pairs == key(brute_admissible_pairs(c, n))
+        found += bool(pairs)
+    assert 0 < found < len(cases)
+
+
+def test_admissible_pairs_rejects_wrong_shape():
+    with pytest.raises(ValueError):
+        admissible_pairs(uniform_matrix(2), 3)
+    with pytest.raises(ValueError):
+        admissible_pairs(RatMatrix.zeros(4, 5), 2)
 
 
 def test_strict_families_variant():
