@@ -21,8 +21,11 @@ CHECK_FAILED = 1
 
 def _emit(text: str, output: str | None):
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -3,17 +3,21 @@
 Scalars are exact rationals, `int` or `fractions.Fraction`: arbitrary
 precision, always in canonical form (reduced, positive denominator).  Nothing
 in this module ever touches floating point.  The rank works on the integer
-rows left after clearing denominators: elimination modulo the prime 2^61 - 1
-gives a lower bound, exact kernel vectors lifted from it give the matching
-upper bound, and fraction-free Bareiss elimination answers whenever the two
-do not meet.  LP feasibility is a revised simplex on the same kind of
+rows left after clearing denominators.  Rows of the form v (e_a - e_b) are
+contracted first: they join columns into classes, and their rank is the
+number of columns joined.  On the other rows, with each column summed into
+its class, elimination modulo the prime 2^61 - 1 gives a lower bound, and
+exact kernel vectors lifted from it, expanded to the original columns and
+checked against the untouched rows, give the matching upper bound.
+Fraction-free Bareiss elimination on the untouched rows answers whenever
+the two do not meet.  LP feasibility is a revised simplex on the same kind of
 integer rows, keeping the basis inverse as sparse rows at positive scales;
 its witnesses and Farkas vectors are re-checked over ints.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 from math import gcd, lcm
 from operator import add, attrgetter, mul
 
@@ -87,7 +91,8 @@ class RatMatrix:
     def matvec(self, x):
         if len(x) != self.cols:
             raise ValueError("vector length does not match column count")
-        return [sum(row[j] * x[j] for j in range(self.cols) if row[j])
+        cols, values = _nonzeros(x)
+        return [sum(map(mul, map(row.__getitem__, cols), values))
                 for row in self.data]
 
 
@@ -128,17 +133,10 @@ def rat_rank(m: RatMatrix) -> int:
     """Exact rank over the rationals, proved from two sides.
 
     Each row is scaled by the lcm of its denominators into a sparse integer
-    row; scaling rows by nonzero integers keeps the rank.  The rank of the
-    integer matrix modulo a prime p is a lower bound: a nonzero minor mod p
-    is a nonzero minor over Z.  If that bound equals the column count it is
-    the answer.  Otherwise each of the k free columns of the mod-p echelon
-    form yields a kernel vector, lifted to Q by rational reconstruction and
-    checked against the untouched integer rows in exact arithmetic.  The k
-    vectors are independent (each is 1 at its own free column and 0 at the
-    others), so k exact kernel vectors prove rank <= cols - k, meeting the
-    lower bound.  When the prime divides a minor that matters, or a kernel
-    entry is too large to lift, the certificate is undecided and the rank
-    comes from fraction-free (Bareiss) elimination on the same integer rows.
+    row; scaling rows by nonzero integers keeps the rank.  The modular
+    certificate (_certified_rank) answers on most inputs; when it is
+    undecided, the rank comes from fraction-free (Bareiss) elimination on
+    the same integer rows.
     """
     if m.rows == 0 or m.cols == 0:
         return 0
@@ -162,16 +160,64 @@ def _sparse_integer_rows(m: RatMatrix):
 def _nonzeros(row):
     """(columns, values) of the nonzero entries of a dense row; zeros have
     denominator 1, so the values alone have the lcm of the whole row."""
-    cols = [j for j, v in enumerate(row) if v]
-    return cols, [row[j] for j in cols]
+    cols = list(compress(range(len(row)), row))
+    return cols, list(map(row.__getitem__, cols))
 
 
 def _certified_rank(rows, ncols):
-    """The exact rank if the GF(p) rank is proved tight, else None (undecided)."""
-    pivots = _echelon_mod_p(rows, ncols)
-    if len(pivots) == ncols or _kernel_certified(rows, pivots, ncols):
-        return len(pivots)
+    """The exact rank if it is proved, else None (undecided).
+
+    Rows v (e_a - e_b) say x_a = x_b on the kernel; they join the columns
+    into k classes and have rank ncols - k.  Their kernel is the vectors
+    constant on each class, x = P z with P the ncols x k class indicator,
+    so the rank of all rows is ncols - k plus the rank of R P, the other
+    rows R with each column summed into its class.  The rank of R P modulo
+    a prime p is a lower bound: a nonzero minor mod p is a nonzero minor
+    over Z.  If it equals k it is tight.  Otherwise each of the free
+    columns of the mod-p echelon form yields a kernel vector z, lifted to
+    Q by rational reconstruction; P z is checked against the untouched rows
+    in exact arithmetic.  The vectors are independent (each is 1 at its
+    own free class and 0 at the others), so they prove the matching upper
+    bound.  When the prime divides a minor that matters, or a kernel entry
+    is too large to lift, the answer is None.
+    """
+    cls, k, others = _contract_equalities(rows, ncols)
+    pivots = _echelon_mod_p(others, k)
+    if len(pivots) == k or _kernel_certified(rows, cls, pivots, k):
+        return ncols - k + len(pivots)
     return None
+
+
+def _contract_equalities(rows, ncols):
+    """(cls, k, contracted): the classes of the columns joined by the rows
+    v (e_a - e_b), numbered 0..k-1 by their least column, and every other
+    row with each column summed into its class (zero sums dropped)."""
+    parent = list(range(ncols))
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    others = []
+    for row in rows:
+        if len(row) == 2:
+            (a, v), (b, w) = row.items()
+            if v == -w:
+                a, b = find(a), find(b)
+                parent[max(a, b)] = min(a, b)
+                continue
+        others.append(row)
+    index = {}
+    cls = [index.setdefault(find(c), len(index)) for c in range(ncols)]
+    contracted = []
+    for row in others:
+        acc = {}
+        for c, v in row.items():
+            j = cls[c]
+            acc[j] = acc.get(j, 0) + v
+        contracted.append({j: v for j, v in acc.items() if v})
+    return cls, len(index), contracted
 
 
 def _echelon_mod_p(rows, ncols):
@@ -203,13 +249,14 @@ def _echelon_mod_p(rows, ncols):
     return pivots
 
 
-def _kernel_certified(rows, pivots, ncols) -> bool:
-    """True iff every free column's kernel vector lifts to an exact one.
+def _kernel_certified(rows, cls, pivots, k) -> bool:
+    """True iff every free class's kernel vector lifts to an exact one of
+    the untouched rows, with column c taking the entry of class cls[c].
 
-    The vector of free column f is 1 at f and 0 at the other free columns;
-    all of them are built at once, column by column: x[c] = {f: entry c}.
+    The vector of free class f is 1 at f and 0 at the other free classes;
+    all of them are built at once, class by class: x[j] = {f: entry j}.
     """
-    x = {f: {f: 1} for f in range(ncols) if f not in pivots}
+    x = {f: {f: 1} for f in range(k) if f not in pivots}
     for lead in sorted(pivots, reverse=True):
         acc = {}
         for c, v in pivots[lead].items():
@@ -223,7 +270,7 @@ def _kernel_certified(rows, pivots, ncols) -> bool:
             if q is None:
                 return False
             lifted.setdefault(f, {})[c] = q
-    kernel = {}  # column -> {free column: integer entry, denominators cleared}
+    kernel = {}  # class -> {free class: integer entry, denominators cleared}
     for f, vec in lifted.items():
         mult = lcm(*(q.denominator for q in vec.values()))
         for c, q in vec.items():
@@ -231,7 +278,7 @@ def _kernel_certified(rows, pivots, ncols) -> bool:
     for row in rows:
         acc = {}
         for c, v in row.items():
-            for f, w in kernel.get(c, {}).items():
+            for f, w in kernel.get(cls[c], {}).items():
                 acc[f] = acc.get(f, 0) + v * w
         if any(acc.values()):
             return False

@@ -91,17 +91,6 @@ class ConstraintSystem:
             data.append(dense)
         return RatMatrix(self.nrows, len(cols), data)
 
-    def residuals(self, x):
-        """Per-row residual C_r . x - d_r for a flat variable vector x."""
-        out = []
-        for row, rhs in zip(self.rows, self.d):
-            acc = -rhs
-            for c, v in row.items():
-                if x[c]:
-                    acc += v * x[c]
-            out.append(acc)
-        return out
-
     def to_text(self) -> str:
         """Human-readable export: 'label : coeff*c[i,k][j,l] ... = rhs'."""
         ti = TensorIndex(self.n)
@@ -202,19 +191,25 @@ class PhiCheck:
 
 
 def phi_contains(c: RatMatrix, sys: ConstraintSystem) -> PhiCheck:
-    """Exact membership: entries >= 0 and every labeled row at zero residual."""
+    """Exact membership: entries >= 0 and every labeled row at zero residual.
+
+    c's entries are scaled to ints by the lcm L of their denominators, a
+    positive factor that keeps every sign; each row's residual
+    C_r . x - d_r is then L times an integer sum, reported as a Fraction.
+    """
     n = sys.n
-    if c.rows != n * n or c.cols != n * n:
-        raise ValueError(f"matrix must be {n * n} x {n * n}")
+    nn = n * n
+    if c.rows != nn or c.cols != nn:
+        raise ValueError(f"matrix must be {nn} x {nn}")
     ti = TensorIndex(n)
-    negative = []
-    for rf in range(n * n):
-        for cf in range(n * n):
-            if c.data[rf][cf] < 0:
-                negative.append((*ti.pair(rf), *ti.pair(cf)))
-    flat = [v for row in c.data for v in row]
-    violations = [(label, r)
-                  for label, r in zip(sys.labels, sys.residuals(flat)) if r]
+    mult, xs = clear_denominators([v for row in c.data for v in row])
+    negative = [(*ti.pair(f // nn), *ti.pair(f % nn))
+                for f, v in enumerate(xs) if v < 0]
+    violations = []
+    for row, rhs, label in zip(sys.rows, sys.d, sys.labels):
+        r = sum(map(mul, map(xs.__getitem__, row), row.values())) - rhs * mult
+        if r:
+            violations.append((label, Fraction(r, mult)))
     return PhiCheck(not negative and not violations, negative, violations)
 
 

@@ -61,6 +61,19 @@ def plain_rank(m: RatMatrix) -> int:
     return rank
 
 
+def plain_residuals(sys, c: RatMatrix):
+    """Per-row residuals C_r . x - d_r of the row-major flattening x of c,
+    accumulated entry by entry as Fractions."""
+    x = [Fraction(v) for row in c.data for v in row]
+    out = []
+    for row, rhs in zip(sys.rows, sys.d):
+        acc = Fraction(-rhs)
+        for col, v in row.items():
+            acc += v * x[col]
+        out.append(acc)
+    return out
+
+
 def random_rational_matrix(rng, rows: int, cols: int, max_num: int = 9,
                            max_den: int = 9) -> RatMatrix:
     """Random small-fraction matrix (rng: random.Random)."""

@@ -400,6 +400,15 @@ def test_nonpositive_workers_is_usage_error(workers):
     assert f"--workers must be >= 1, got {workers}" in result.stderr
 
 
+@pytest.mark.parametrize("target", ["directory", "missing parent"])
+def test_unwritable_output_is_usage_error(tmp_path, target):
+    path = tmp_path if target == "directory" else tmp_path / "no" / "x.json"
+    result = run_cli("count-sigmas", "--n", "4", "--output", str(path))
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"error: cannot write {path}")
+    assert "Traceback" not in result.stderr
+
+
 def test_byte_identical_reruns():
     first = run_cli("build", "T", "--n", "4", "--sigma", "(3 4)")
     second = run_cli("build", "T", "--n", "4", "--sigma", "(3 4)")

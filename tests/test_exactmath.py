@@ -16,7 +16,11 @@ from tensorhull.exactmath import (
     parse_matrix,
     rat_rank,
 )
-from tensorhull.exactmath import _certified_rank, _sparse_integer_rows
+from tensorhull.exactmath import (
+    _certified_rank,
+    _contract_equalities,
+    _sparse_integer_rows,
+)
 from helpers import (
     brute_lp_feasible,
     plain_rank,
@@ -84,11 +88,94 @@ def test_rank_certificate_matches_plain_elimination(max_den):
 @pytest.mark.parametrize("rows, rank", [
     ([[2**61 - 1, 0], [0, 1]], 2),      # the rank drops mod the prime
     ([[1, 2**40], [3, 3 * 2**40]], 1),  # kernel entry beyond the lift bound
+    # x0 = x1 joins two columns whose sum mod the prime is 0: the expanded
+    # kernel vector fails the untouched rows, and Bareiss on them finds 3
+    ([[1, -1, 0], [2**61 - 1, 0, 0], [0, 0, 1]], 3),
 ])
 def test_rank_falls_back_to_bareiss_when_undecided(rows, rank):
     m = RatMatrix.from_rows(rows)
     assert _certificate(m) is None
     assert rat_rank(m) == plain_rank(m) == rank
+
+
+def _planted_equalities(rng, cols):
+    """Rows v (e_a - e_b) along a chain (closed to a cycle half the time),
+    duplicated and negated copies, decoys that must not be contracted, and
+    an r x k times k x cols product block of rank <= k."""
+    def row(entries):
+        out = [0] * cols
+        for c, v in entries:
+            out[c] = v
+        return out
+
+    def scale():
+        return rng.choice([1, -2, 7, Fraction(1, 2), Fraction(-3, 4)])
+
+    chain = rng.sample(range(cols), rng.randint(2, cols))
+    links = list(zip(chain, chain[1:]))
+    if rng.random() < 0.5:
+        links.append((chain[-1], chain[0]))
+    rows = []
+    for a, b in links:
+        v = scale()
+        rows.append(row([(a, v), (b, -v)]))
+    for r in rng.sample(rows, min(2, len(rows))):
+        rows.append(list(r))
+        rows.append([-v for v in r])
+    a, b = rng.sample(range(cols), 2)
+    v = rng.randint(1, 5)
+    decoys = [row([(a, v), (b, v)]),
+              row([(a, v), (b, -v - rng.randint(1, 3))]),
+              row([(rng.randrange(cols), scale())])]
+    rows.extend(rng.sample(decoys, rng.randint(0, 3)))
+    inner = rng.randint(1, 3)
+    block = _product(random_rational_matrix(rng, rng.randint(0, 4), inner,
+                                            max_den=rng.choice([1, 6])),
+                     random_rational_matrix(rng, inner, cols, max_den=1))
+    rows.extend(block.data)
+    rng.shuffle(rows)
+    return RatMatrix(len(rows), cols, rows)
+
+
+def test_rank_with_planted_equality_rows_matches_plain_elimination():
+    rng = random.Random(23)
+    decided = 0
+    for _ in range(120):
+        m = _planted_equalities(rng, rng.randint(2, 9))
+        _, k, _ = _contract_equalities(_sparse_integer_rows(m), m.cols)
+        assert k < m.cols
+        expected = plain_rank(m)
+        assert rat_rank(m) == expected
+        assert _certificate(m) in (None, expected)
+        decided += _certificate(m) == expected
+    assert decided >= 110
+
+
+@pytest.mark.parametrize("rows, classes, kept", [
+    ([[3, -3, 0], [0, 5, -5]], [0, 0, 0], 0),  # a chain joins all three
+    ([[2, 2, 0], [0, 1, -2], [4, 0, 0]], [0, 1, 2], 3),  # decoys stay
+    ([[0, 1, -1], [0, -1, 1], [1, 1, 1]], [0, 1, 1], 1),
+])
+def test_contraction_joins_only_equality_rows(rows, classes, kept):
+    cls, k, others = _contract_equalities(
+        _sparse_integer_rows(RatMatrix.from_rows(rows)), len(rows[0]))
+    assert cls == classes
+    assert k == max(classes) + 1
+    assert len(others) == kept
+
+
+def test_matvec_matches_plain_double_loop():
+    rng = random.Random(24)
+    for _ in range(40):
+        m = random_rational_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
+        x = [rng.choice([0, Fraction(0), rng.randint(-3, 3),
+                         Fraction(rng.randint(-5, 5), rng.randint(1, 6))])
+             for _ in range(m.cols)]
+        expected = [sum((row[j] * x[j] for j in range(m.cols)), Fraction(0))
+                    for row in m.data]
+        assert m.matvec(x) == expected
+    with pytest.raises(ValueError):
+        RatMatrix.identity(2).matvec([1])
 
 
 def test_certificate_decides_proportional_rows():

@@ -43,6 +43,7 @@ from tensorhull.polytopes import (
 from helpers import (
     brute_admissible_pairs,
     convex_combination,
+    plain_residuals,
     random_doubly_stochastic,
     random_permutation,
     reference_simplex,
@@ -155,6 +156,34 @@ def test_phi_contains_negative_entry():
     assert (1, 1, 1, 1) in check.negative_entries
 
 
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("n", [3, 4])
+def test_phi_contains_matches_plain_residuals(n, strict):
+    # members perturbed at a few cells by 1/4, 1/6 or 1/10 of either sign,
+    # some of which turn negative; both reports must match the Fraction loop
+    phi = build_phi_constraints(n, strict)
+    rng = random.Random(31 * n + strict)
+    nn = n * n
+    for _ in range(12):
+        base = tensor_product(random_doubly_stochastic(rng, n),
+                              random_doubly_stochastic(rng, n))
+        data = [list(row) for row in base.data]
+        for _ in range(rng.randint(0, 4)):
+            step = Fraction(rng.choice([-1, 1]), rng.choice([4, 6, 10]))
+            data[rng.randrange(nn)][rng.randrange(nn)] += step
+        m = RatMatrix(nn, nn, data)
+        expected_violations = [(label, r) for label, r
+                               in zip(phi.labels, plain_residuals(phi, m))
+                               if r]
+        expected_negative = [(rf // n + 1, rf % n + 1, cf // n + 1, cf % n + 1)
+                             for rf in range(nn) for cf in range(nn)
+                             if data[rf][cf] < 0]
+        check = phi_contains(m, phi)
+        assert check.violations == expected_violations
+        assert check.negative_entries == expected_negative
+        assert check.ok == (not expected_violations and not expected_negative)
+
+
 def test_phi_contains_shape_error():
     with pytest.raises(ValueError):
         phi_contains(RatMatrix.identity(3), build_phi_constraints(2))
@@ -229,6 +258,21 @@ def test_support_rank_n6(phi6, cycles, rank):
     t = build_T(6, parse_permutation(cycles, 6))
     assert phi_support_rank(t, phi6) == (rank, 216)
     assert is_vertex_of_phi(t, phi6) == (rank == 216)
+
+
+def test_support_rank_n6_matches_plain_elimination_refs(phi6):
+    # perfbench/refs/verify_n6.json holds each admissible sigma's support
+    # rank by plain rational elimination: every rank-deficient sigma and a
+    # seeded sample of the full-rank ones
+    refs = json.loads((Path(__file__).parent.parent / "perfbench" / "refs"
+                       / "verify_n6.json").read_text())["entries"]
+    deficient = [e for e in refs if e["support_rank"] < e["support_size"]]
+    full = [e for e in refs if e["support_rank"] == e["support_size"]]
+    assert len(deficient) == 96
+    for entry in deficient + random.Random(61).sample(full, 24):
+        t = build_T(6, Permutation(entry["image"]))
+        assert phi_support_rank(t, phi6) == (entry["support_rank"],
+                                             entry["support_size"])
 
 
 def test_induced_marginals_examples():
