@@ -35,10 +35,6 @@ class VarMatrix:
         """Row i, 1-based."""
         return self.entry[i - 1]
 
-    def at(self, i: int, k: int) -> int:
-        """Variable index at cell (i, k), 1-based."""
-        return self.entry[i - 1][k - 1]
-
 
 def build_A(n: int) -> VarMatrix:
     """Circulant pattern: cell (i,k) holds variable ((i+k-2) mod n) + 1."""

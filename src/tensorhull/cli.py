@@ -263,7 +263,7 @@ def cmd_phi_check(args) -> int:
 
 
 def _add_common(parser, *, sigma=False, lp=False, workers=False,
-                sn_cap=False, strict=False):
+                sn_cap=False, strict=False, fmt=True):
     parser.add_argument("--n", type=int, required=True, help="side length n")
     if sigma:
         parser.add_argument(
@@ -285,7 +285,9 @@ def _add_common(parser, *, sigma=False, lp=False, workers=False,
         parser.add_argument("--strict-families", action="store_true",
                             help="use the literal alternate reading of the "
                                  "third/fourth constraint families")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
+    if fmt:
+        parser.add_argument("--format", choices=("text", "json"),
+                            default="text")
     parser.add_argument("--output", help="write output to this file")
 
 
@@ -310,7 +312,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="print A, B, or T")
     p.add_argument("target", choices=("A", "B", "T"))
-    _add_common(p, sigma=True)
+    # build has one output format, the text one
+    _add_common(p, sigma=True, fmt=False)
     p.set_defaults(fn=cmd_build)
 
     p = sub.add_parser("verify", help="full verification for one sigma")

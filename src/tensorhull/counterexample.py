@@ -11,13 +11,13 @@ admissible sigma it is a vertex of Phi that lies outside Psi.
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 
 from .circulants import build_A, build_B, exists_PQ
 from .exactmath import RatMatrix
 from .permutations import Permutation, is_counterexample_sigma
 from .polytopes import (
     FULL,
-    TensorIndex,
     admissible_pairs,
     build_phi_constraints,
     phi_contains,
@@ -32,24 +32,25 @@ LP_FEASIBLE = "feasible"
 LP_SKIPPED = "skipped"
 
 
+def _flat_variables(n: int, sigma: Permutation):
+    """A's and B's variables, cell by cell in TensorIndex.flat order."""
+    return ([m for row in build_A(n).entry for m in row],
+            [m for row in build_B(n, sigma).entry for m in row])
+
+
 def build_T(n: int, sigma: Permutation) -> RatMatrix:
     """The 0-or-1/n transfer matrix matching variables of B to variables of A."""
     if sigma.n != n:
         raise ValueError("sigma size does not match n")
-    a = build_A(n)
-    b = build_B(n, sigma)
-    ti = TensorIndex(n)
-    val = Fraction(1, n)
+    a, b = _flat_variables(n, sigma)
     nn = n * n
+    # B's cells sorted by variable: variable m fills by_var[n*(m-1):n*m].
+    by_var = sorted(range(nn), key=b.__getitem__)
+    val = Fraction(1, n)
     data = [[0] * nn for _ in range(nn)]
-    for i in range(1, n + 1):
-        for k in range(1, n + 1):
-            m = a.at(i, k)
-            rf = ti.flat(i, k)
-            for j in range(1, n + 1):
-                for l in range(1, n + 1):
-                    if b.at(j, l) == m:
-                        data[rf][ti.flat(j, l)] = val
+    for row, m in zip(data, a):
+        for f in by_var[n * (m - 1):n * m]:
+            row[f] = val
     return RatMatrix(nn, nn, data)
 
 
@@ -62,19 +63,9 @@ def verify_transfer_identity(t: RatMatrix, n: int, sigma: Permutation) -> bool:
     nn = n * n
     if t.rows != nn or t.cols != nn or sigma.n != n:
         raise ValueError("shape mismatch")
-    a = build_A(n)
-    b = build_B(n, sigma)
-    ti = TensorIndex(n)
+    a, b = _flat_variables(n, sigma)
     for m in range(1, n + 1):
-        u = [0] * nn
-        v = [0] * nn
-        for i in range(1, n + 1):
-            for k in range(1, n + 1):
-                if a.at(i, k) == m:
-                    u[ti.flat(i, k)] = 1
-                if b.at(i, k) == m:
-                    v[ti.flat(i, k)] = 1
-        if t.matvec(v) != u:
+        if t.matvec([int(x == m) for x in b]) != [int(x == m) for x in a]:
             return False
     return True
 
@@ -92,41 +83,35 @@ def block_structure_report(t: RatMatrix, n: int) -> BlockReport:
     """Each of the four index-pair slices must be 1/n times a permutation matrix.
 
     Slices: fix (i,j) and vary (k,l); fix (k,l) and vary (i,j); fix (i,l)
-    and vary (k,j); fix (k,j) and vary (i,l).
+    and vary (k,j); fix (k,j) and vary (i,l).  One pass over the nonzeros
+    of t places each in its slice of every family; a slice passes when its
+    nonzeros all equal 1/n and hit each of its rows and columns once.
     """
     nn = n * n
     if t.rows != nn or t.cols != nn:
         raise ValueError("shape mismatch")
-    ti = TensorIndex(n)
-    rng = range(1, n + 1)
-    slices = {
-        "fix(i,j)": lambda a, b, x, y: (ti.flat(a, x), ti.flat(b, y)),
-        "fix(k,l)": lambda a, b, x, y: (ti.flat(x, a), ti.flat(y, b)),
-        "fix(i,l)": lambda a, b, x, y: (ti.flat(a, x), ti.flat(y, b)),
-        "fix(k,j)": lambda a, b, x, y: (ti.flat(x, a), ti.flat(b, y)),
-    }
+    names = ("fix(i,j)", "fix(k,l)", "fix(i,l)", "fix(k,j)")
+    rng = range(n)
+    # (family, fixed pair) -> (rows hit, columns hit), 0-based.  A nonzero
+    # other than 1/n hits column -1, so no slice holding one passes.
+    hits = {(s, a, b): ([], []) for s in range(len(names)) for a in rng
+            for b in rng}
     val = Fraction(1, n)
-    failures = []
-    for name, pick in slices.items():
-        for a in rng:
-            for b in rng:
-                colseen = set()
-                ok = True
-                for x in rng:
-                    hits = []
-                    for y in rng:
-                        rf, cf = pick(a, b, x, y)
-                        v = t.data[rf][cf]
-                        if v == val:
-                            hits.append(y)
-                        elif v:
-                            ok = False
-                    if len(hits) != 1 or hits[0] in colseen:
-                        ok = False
-                        break
-                    colseen.add(hits[0])
-                if not ok:
-                    failures.append(f"{name}[{a},{b}]")
+    for rf, row in enumerate(t.data):
+        i, k = divmod(rf, n)
+        for cf in compress(range(nn), row):
+            j, l = divmod(cf, n)
+            good = row[cf] == val
+            # Where ((i,k),(j,l)) falls in each family: (slice, row, column).
+            for key, x, y in (((0, i, j), k, l), ((1, k, l), i, j),
+                              ((2, i, l), k, j), ((3, k, j), i, l)):
+                rows, cols = hits[key]
+                rows.append(x)
+                cols.append(y if good else -1)
+    full = list(rng)
+    failures = [f"{names[s]}[{a + 1},{b + 1}]"
+                for (s, a, b), (rows, cols) in hits.items()
+                if sorted(rows) != full or sorted(cols) != full]
     return BlockReport(not failures, failures)
 
 

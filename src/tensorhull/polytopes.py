@@ -19,8 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .exactmath import (RatMatrix, clear_denominators, format_matrix,
-                        lp_feasible, rat_rank)
+from .exactmath import RatMatrix, clear_denominators, lp_feasible, rat_rank
 from .permutations import Permutation, all_permutations
 
 SUPPORT_FILTERED = "support_filtered"
@@ -59,7 +58,7 @@ class ConstraintSystem:
     """Equality system C x = d with nonnegativity implicit, rows labeled.
 
     Rows are stored sparsely as {flat variable index: integer coefficient}
-    and d holds ints; the dense RatMatrix views hold the same ints.
+    and d holds ints; a column_submatrix holds the same ints.
     """
 
     n: int
@@ -75,9 +74,6 @@ class ConstraintSystem:
     def ncols(self) -> int:
         return self.n ** 4
 
-    def dense_matrix(self) -> RatMatrix:
-        return self.column_submatrix(range(self.ncols))
-
     def column_submatrix(self, cols) -> RatMatrix:
         cols = list(cols)
         pos = {c: j for j, c in enumerate(cols)}
@@ -90,28 +86,6 @@ class ConstraintSystem:
                     dense[j] = v
             data.append(dense)
         return RatMatrix(self.nrows, len(cols), data)
-
-    def to_text(self) -> str:
-        """Human-readable export: 'label : coeff*c[i,k][j,l] ... = rhs'."""
-        ti = TensorIndex(self.n)
-        lines = []
-        for row, rhs, label in zip(self.rows, self.d, self.labels):
-            terms = []
-            for c in sorted(row):
-                i, k, j, l = ti.unvar(c)
-                v = row[c]
-                sign = "+" if v >= 0 else "-"
-                terms.append(f"{sign}{abs(v)}*c[{i},{k}][{j},{l}]")
-            lines.append(f"{label} : {' '.join(terms)} = {rhs}")
-        return "\n".join(lines) + "\n"
-
-    def machine_export(self) -> tuple[str, str]:
-        """(matrix text of [C | d] in the shared format, one label per line)."""
-        augmented = RatMatrix(
-            self.nrows, self.ncols + 1,
-            [list(row) + [rhs]
-             for row, rhs in zip(self.dense_matrix().data, self.d)])
-        return format_matrix(augmented), "\n".join(self.labels) + "\n"
 
 
 @lru_cache(maxsize=None)
@@ -357,7 +331,7 @@ def membership_system(c: RatMatrix, n: int, pairs) -> tuple[RatMatrix, list]:
 
     The coefficients are the ints 0 and 1; d holds the entries of c and 1.
     """
-    return _grouped_system(c, n, pairs, _canonical_groups(n))
+    return _grouped_system(*_scaled_rhs(c), n, pairs, _canonical_groups(n))
 
 
 def weights_reconstruct(weights: dict, n: int) -> RatMatrix:
@@ -398,12 +372,19 @@ def _reduced_groups(n: int):
     return (*entries, *rowblocks, *colblocks, tuple(range(n4)), (n4,))
 
 
-def _grouped_system(c: RatMatrix, n: int, pairs, groups):
+def _scaled_rhs(c: RatMatrix):
+    """(L, L times the canonical rhs: c's entries row-major, then the 1 of
+    the sum-to-1 row), L > 0 the lcm of the entries' denominators."""
+    mult, cs = clear_denominators([v for row in c.data for v in row])
+    return mult, [*cs, mult]
+
+
+def _grouped_system(mult: int, rhs, n: int, pairs, groups):
     """The LP data whose row r is the sum of the canonical rows in groups[r].
 
     Column (p, q) of row r counts the members of groups[r] in
-    kron_support(p, q) + [n^4]; d_r sums c's entries, and the 1 of row n^4,
-    over the group, over ints with c's denominators cleared once.
+    kron_support(p, q) + [n^4]; d_r sums the canonical rhs over the group,
+    from its scaled ints rhs (see _scaled_rhs) and their factor mult.
     """
     n4 = n ** 4
     member = [[] for _ in range(n4 + 1)]
@@ -415,9 +396,7 @@ def _grouped_system(c: RatMatrix, n: int, pairs, groups):
         for v in (*kron_support(p, q), n4):
             for r in member[v]:
                 data[r][j] += 1
-    mult, cs = clear_denominators([v for row in c.data for v in row])
-    cs.append(mult)
-    d = [Fraction(sum(cs[v] for v in group), mult) for group in groups]
+    d = [Fraction(sum(rhs[v] for v in group), mult) for group in groups]
     return RatMatrix(len(groups), len(pairs), data), d
 
 
@@ -431,19 +410,19 @@ def _lift_farkas(y, groups, n: int):
     return out
 
 
-def _verify_psi_farkas(c: RatMatrix, n: int, pairs, y) -> bool:
+def _verify_psi_farkas(rhs, n: int, pairs, y) -> bool:
     """check_farkas against the canonical system, via column supports.
 
-    y and the entries of c are each scaled to ints by the lcm of their
-    denominators; both factors are positive, so every sign is kept.
+    rhs is the canonical rhs scaled to ints (see _scaled_rhs) and y is
+    scaled to ints by the lcm of its denominators; both factors are
+    positive, so every sign is kept.
     """
     n4 = n ** 4
     _, ys = clear_denominators(y)
     for p, q in pairs:
         if ys[n4] + sum(ys[v] for v in kron_support(p, q)) < 0:
             return False
-    mult, cs = clear_denominators([v for row in c.data for v in row])
-    return ys[n4] * mult + sum(map(mul, cs, ys)) < 0
+    return sum(map(mul, rhs, ys)) < 0
 
 
 def psi_contains(c: RatMatrix, n: int, mode: str = SUPPORT_FILTERED,
@@ -465,10 +444,9 @@ def psi_contains(c: RatMatrix, n: int, mode: str = SUPPORT_FILTERED,
     nn = n * n
     if c.rows != nn or c.cols != nn:
         raise ValueError(f"matrix must be {nn} x {nn}")
-    for row in c.data:
-        for v in row:
-            if v < 0:
-                raise ValueError("matrix has negative entries")
+    mult, rhs = _scaled_rhs(c)
+    if any(v < 0 for v in rhs):
+        raise ValueError("matrix has negative entries")
     if mode == SUPPORT_FILTERED:
         pairs = admissible_pairs(c, n)
         admissible_count = len(pairs)
@@ -483,10 +461,10 @@ def psi_contains(c: RatMatrix, n: int, mode: str = SUPPORT_FILTERED,
         raise ValueError(f"unknown mode {mode!r}")
 
     for groups in (_reduced_groups(n), _canonical_groups(n)):
-        outcome = lp_feasible(*_grouped_system(c, n, pairs, groups))
+        outcome = lp_feasible(*_grouped_system(mult, rhs, n, pairs, groups))
         if not outcome.feasible:
             y = _lift_farkas(outcome.farkas, groups, n)
-            if not _verify_psi_farkas(c, n, pairs, y):
+            if not _verify_psi_farkas(rhs, n, pairs, y):
                 raise AssertionError("lifted certificate failed verification")
             return MembershipResult(False, mode, pairs, farkas=y,
                                     admissible_count=admissible_count)

@@ -10,8 +10,10 @@ import itertools
 import math
 from fractions import Fraction
 
+from tensorhull.circulants import build_A, build_B
 from tensorhull.exactmath import RatMatrix
 from tensorhull.permutations import Permutation, all_permutations
+from tensorhull.polytopes import TensorIndex
 
 # The published 16x16 transfer matrix for n=4, sigma=(3 4), transcribed by
 # hand as the 1-based column positions of the 1/4 entries in each row.
@@ -124,6 +126,82 @@ def brute_admissible_pairs(c: RatMatrix, n: int):
             if all(data[n * i + k][n * (pi - 1) + qk - 1]
                    for i, pi in enumerate(p.image)
                    for k, qk in enumerate(q.image))]
+
+
+def plain_build_T(n: int, sigma: Permutation) -> RatMatrix:
+    """T by comparing the variables of every cell pair: n^4 comparisons."""
+    a = build_A(n)
+    b = build_B(n, sigma)
+    ti = TensorIndex(n)
+    val = Fraction(1, n)
+    nn = n * n
+    data = [[0] * nn for _ in range(nn)]
+    for i in range(1, n + 1):
+        for k in range(1, n + 1):
+            m = a.entry[i - 1][k - 1]
+            rf = ti.flat(i, k)
+            for j in range(1, n + 1):
+                for l in range(1, n + 1):
+                    if b.entry[j - 1][l - 1] == m:
+                        data[rf][ti.flat(j, l)] = val
+    return RatMatrix(nn, nn, data)
+
+
+def plain_transfer_identity(t: RatMatrix, n: int, sigma: Permutation) -> bool:
+    """u_m = T v_m for every variable m, indicators built cell by cell."""
+    nn = n * n
+    a = build_A(n)
+    b = build_B(n, sigma)
+    ti = TensorIndex(n)
+    for m in range(1, n + 1):
+        u = [0] * nn
+        v = [0] * nn
+        for i in range(1, n + 1):
+            for k in range(1, n + 1):
+                if a.entry[i - 1][k - 1] == m:
+                    u[ti.flat(i, k)] = 1
+                if b.entry[i - 1][k - 1] == m:
+                    v[ti.flat(i, k)] = 1
+        if t.matvec(v) != u:
+            return False
+    return True
+
+
+def plain_block_failures(t: RatMatrix, n: int):
+    """Names of the slices that are not 1/n times a permutation matrix,
+    found by walking every cell of every slice, row by row, with an early
+    exit on a row that does not hold exactly one 1/n in a new column."""
+    ti = TensorIndex(n)
+    rng = range(1, n + 1)
+    slices = {
+        "fix(i,j)": lambda a, b, x, y: (ti.flat(a, x), ti.flat(b, y)),
+        "fix(k,l)": lambda a, b, x, y: (ti.flat(x, a), ti.flat(y, b)),
+        "fix(i,l)": lambda a, b, x, y: (ti.flat(a, x), ti.flat(y, b)),
+        "fix(k,j)": lambda a, b, x, y: (ti.flat(x, a), ti.flat(b, y)),
+    }
+    val = Fraction(1, n)
+    failures = []
+    for name, pick in slices.items():
+        for a in rng:
+            for b in rng:
+                colseen = set()
+                ok = True
+                for x in rng:
+                    hits = []
+                    for y in rng:
+                        rf, cf = pick(a, b, x, y)
+                        v = t.data[rf][cf]
+                        if v == val:
+                            hits.append(y)
+                        elif v:
+                            ok = False
+                    if len(hits) != 1 or hits[0] in colseen:
+                        ok = False
+                        break
+                    colseen.add(hits[0])
+                if not ok:
+                    failures.append(f"{name}[{a},{b}]")
+    return failures
 
 
 def random_permutation(rng, n: int) -> Permutation:

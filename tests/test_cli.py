@@ -51,6 +51,15 @@ def test_build_missing_sigma_is_usage_error():
     assert result.returncode == 2
 
 
+def test_build_has_no_format_flag():
+    # build prints text only, so a format request is refused, not ignored
+    result = run_cli("build", "T", "--n", "2", "--sigma", "(1 2)",
+                     "--format", "json")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "unrecognized arguments: --format json" in result.stderr
+
+
 @pytest.mark.parametrize("spec", ["(1 9)", "(3 4) 2"])
 def test_bad_sigma_is_usage_error(spec):
     result = run_cli("verify", "--n", "4", "--sigma", spec, "--no-lp")

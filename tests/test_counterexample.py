@@ -25,7 +25,12 @@ from tensorhull.permutations import (
     parse_permutation,
 )
 from tensorhull.polytopes import TensorIndex
-from helpers import printed_transfer_matrix
+from helpers import (
+    plain_block_failures,
+    plain_build_T,
+    plain_transfer_identity,
+    printed_transfer_matrix,
+)
 
 
 def test_build_T_matches_printed_matrix():
@@ -99,6 +104,69 @@ def test_block_structure():
 def test_block_structure_all_sigmas_n3():
     for sigma in all_permutations(3):
         assert block_structure_report(build_T(3, sigma), 3).ok
+
+
+def _differential_sigmas():
+    sigmas = [s for n in range(1, 6) for s in all_permutations(n)]
+    return sigmas + random.Random(71).sample(list(all_permutations(6)), 30)
+
+
+def _perturbations(t: RatMatrix, n: int, rng):
+    """Near misses of T: each cell edit below, then the uniform and the
+    all-zero matrix."""
+    nn = n * n
+    cells = [(r, c) for r in range(nn) for c in range(nn)]
+    ones = [rc for rc in cells if t.data[rc[0]][rc[1]]]
+    zeros = [rc for rc in cells if not t.data[rc[0]][rc[1]]]
+    val = Fraction(1, n)
+
+    def edited(*changes):
+        data = [list(row) for row in t.data]
+        for (r, c), v in changes:
+            data[r][c] = v
+        return RatMatrix(nn, nn, data)
+
+    if zeros:
+        one, zero = rng.choice(ones), rng.choice(zeros)
+        yield edited((one, 0), (zero, val))  # a swapped pair of cells
+        yield edited((rng.choice(zeros), val))  # an extra 1/n
+    yield edited((rng.choice(ones), Fraction(2, 7)))  # a foreign value
+    yield edited((rng.choice(ones), 0))  # a zeroed 1/n
+    yield RatMatrix(nn, nn, [[Fraction(1, nn)] * nn for _ in range(nn)])
+    yield RatMatrix(nn, nn, [[0] * nn for _ in range(nn)])
+
+
+def test_T_stages_match_plain_oracles():
+    # build_T and the transfer identity read the support S directly; the
+    # oracles compare the variables of every cell pair
+    for sigma in _differential_sigmas():
+        n = sigma.n
+        t = build_T(n, sigma)
+        plain = plain_build_T(n, sigma)
+        assert t == plain
+        assert [list(map(type, row)) for row in t.data] == \
+            [list(map(type, row)) for row in plain.data]
+        assert verify_transfer_identity(t, n, sigma)
+        assert plain_transfer_identity(t, n, sigma)
+        assert block_structure_report(t, n).failures == \
+            plain_block_failures(t, n) == []
+
+
+def test_block_failures_match_plain_oracle_on_perturbations():
+    rng = random.Random(72)
+    checked = failing = 0
+    for sigma in _differential_sigmas():
+        n = sigma.n
+        for m in _perturbations(build_T(n, sigma), n, rng):
+            report = block_structure_report(m, n)
+            expected = plain_block_failures(m, n)
+            assert report.failures == expected
+            assert report.ok == (not expected)
+            assert verify_transfer_identity(m, n, sigma) == \
+                plain_transfer_identity(m, n, sigma)
+            checked += 1
+            failing += bool(expected)
+    assert checked > 1000 and failing > 1000
 
 
 def test_certify_examples():
@@ -207,7 +275,7 @@ def test_red_flags_on_forced_divergence(monkeypatch):
     import tensorhull.counterexample as cx
 
     monkeypatch.setattr(cx, "certify_not_in_psi",
-                        lambda t, n, cross_check=None: False)
+                        lambda t, n: False)
     report = cx.full_verification(4, parse_permutation("(3 4)", 4),
                                   run_lp=True)
     assert not report.confirmed
@@ -219,7 +287,7 @@ def test_red_flags_on_forced_divergence(monkeypatch):
 def test_stage_errors_carry_stage_label(monkeypatch):
     import tensorhull.counterexample as cx
 
-    def boom(t, n, cross_check=None):
+    def boom(t, n):
         raise ValueError("synthetic failure")
 
     monkeypatch.setattr(cx, "certify_not_in_psi", boom)

@@ -39,6 +39,7 @@ from tensorhull.polytopes import (
     _canonical_groups,
     _grouped_system,
     _reduced_groups,
+    _scaled_rhs,
 )
 from helpers import (
     brute_admissible_pairs,
@@ -225,7 +226,7 @@ def test_vertex_via_public_columns_independent():
     # same verdict through the dense public route
     sys4 = build_phi_constraints(4)
     t = build_T(4, parse_permutation("(3 4)", 4))
-    dense = sys4.dense_matrix()
+    dense = sys4.column_submatrix(range(sys4.ncols))
     assert columns_independent(dense, support_columns(t))
 
 
@@ -460,7 +461,8 @@ def test_psi_modes_agree():
     # The perturbed inputs satisfy every reduced row: the verdict above came
     # from the canonical system.
     for n, m in zip((3, 4), perturbed):
-        reduced = _grouped_system(m, n, all_pairs(n), _reduced_groups(n))
+        reduced = _grouped_system(*_scaled_rhs(m), n, all_pairs(n),
+                                  _reduced_groups(n))
         assert lp_feasible(*reduced).feasible
 
 
@@ -468,7 +470,8 @@ def test_psi_modes_agree():
 def test_reduced_rows_span_the_canonical_system(n):
     pairs = all_pairs(n)
     c = vertex_mix(random.Random(90 + n), n, 2)
-    reduced, d_reduced = _grouped_system(c, n, pairs, _reduced_groups(n))
+    reduced, d_reduced = _grouped_system(*_scaled_rhs(c), n, pairs,
+                                          _reduced_groups(n))
     canon, d_canon = membership_system(c, n, pairs)
     assert rat_rank(reduced) == rat_rank(canon) == ((n - 1) ** 2 + 1) ** 2
     # The canonical columns are the flattened vertices with a 1 appended.
@@ -497,7 +500,8 @@ def test_psi_lp_pivots_match_reference_tableau():
                 pair_sets.append(all_pairs(n))
             for pairs in pair_sets:
                 for groups in (_reduced_groups(n), _canonical_groups(n)):
-                    systems.append(_grouped_system(c, n, pairs, groups))
+                    systems.append(
+                        _grouped_system(*_scaled_rhs(c), n, pairs, groups))
     seen = set()
     for c, d in systems:
         res = lp_feasible(c, d)
@@ -645,7 +649,8 @@ def test_family_readings_define_the_same_affine_space(n, rank):
     # the augmented rows [C | d] of either reading add no rank to the other's,
     # so both have the same solutions and every membership verdict agrees
     def augmented(sys):
-        return [row + [rhs] for row, rhs in zip(sys.dense_matrix().data, sys.d)]
+        dense = sys.column_submatrix(range(sys.ncols))
+        return [row + [rhs] for row, rhs in zip(dense.data, sys.d)]
 
     default = augmented(build_phi_constraints(n))
     strict = augmented(build_phi_constraints(n, strict_families=True))
@@ -677,7 +682,7 @@ def test_implied_equality_rows():
                     row[ti.var(i, l, j, 1)] = row.get(ti.var(i, l, j, 1), 0) + 1
                     row[ti.var(i, 1, j, l)] = row.get(ti.var(i, 1, j, l), 0) - 1
                 extra.append({c: v for c, v in row.items() if v})
-        base = sys.dense_matrix()
+        base = sys.column_submatrix(range(sys.ncols))
         zero = Fraction(0)
         dense_extra = [[zero] * sys.ncols for _ in extra]
         for r, row in enumerate(extra):
@@ -688,33 +693,9 @@ def test_implied_equality_rows():
         assert rat_rank(combined) == rat_rank(base)
 
 
-def test_constraint_text_export():
-    sys2 = build_phi_constraints(2)
-    text = sys2.to_text()
-    lines = text.strip().splitlines()
-    assert len(lines) == sys2.nrows
-    assert lines[0].startswith("rowsum[1,1] : ")
-    assert "= 1" in lines[0]
-    assert any(ln.startswith("fam1[") and ln.endswith("= 0") for ln in lines)
-
-
-def test_constraint_machine_export():
-    from tensorhull.exactmath import parse_matrix
-
-    sys2 = build_phi_constraints(2)
-    matrix_text, labels_text = sys2.machine_export()
-    aug = parse_matrix(matrix_text)
-    assert (aug.rows, aug.cols) == (sys2.nrows, sys2.ncols + 1)
-    dense = sys2.dense_matrix()
-    for r in range(sys2.nrows):
-        assert aug.data[r][:-1] == dense.data[r]
-        assert aug.data[r][-1] == sys2.d[r]
-    assert labels_text.splitlines() == sys2.labels
-
-
 def test_dense_matrix_matches_sparse_rows():
     sys2 = build_phi_constraints(2)
-    dense = sys2.dense_matrix()
+    dense = sys2.column_submatrix(range(sys2.ncols))
     for r, row in enumerate(sys2.rows):
         for c in range(sys2.ncols):
             assert dense.data[r][c] == row.get(c, 0)
