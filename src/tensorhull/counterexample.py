@@ -4,8 +4,10 @@ T is the n^2 x n^2 matrix with entries 0 and 1/n whose ((i,k),(j,l)) entry
 is 1/n exactly when cell (j,l) of the sigma-relabeled circulant holds the
 same variable as cell (i,k) of the plain circulant.  Since each variable
 fills n cells on either side, T carries each circulant cell to the average
-of the matching cells, which is what makes it a member of Phi; for every
-admissible sigma it is a vertex of Phi that lies outside Psi.
+of the matching cells, which is what makes it a member of Phi.  For every
+admissible sigma T lies outside Psi, and for most it is also a vertex of
+Phi; at n = 6, 96 of the 708 admissible sigma leave the support columns
+rank-deficient, and the phi_vertex stage fails on them.
 """
 
 import time

@@ -5,14 +5,11 @@ precision, always in canonical form (reduced, positive denominator).  Nothing
 in this module ever touches floating point.  The rank works on the integer
 rows left after clearing denominators.  Rows of the form v (e_a - e_b) are
 contracted first: they join columns into classes, and their rank is the
-number of columns joined.  On the other rows, with each column summed into
-its class, elimination modulo the prime 2^61 - 1 gives a lower bound, and
-exact kernel vectors lifted from it, expanded to the original columns and
-checked against the untouched rows, give the matching upper bound.
-Fraction-free Bareiss elimination on the untouched rows answers whenever
-the two do not meet.  LP feasibility is a revised simplex on the same kind of
-integer rows, keeping the basis inverse as sparse rows at positive scales;
-its witnesses and Farkas vectors are re-checked over ints.
+number of columns joined.  Fraction-free (Bareiss) elimination on the other
+rows, with each column summed into its class, gives the rest of the rank
+exactly.  LP feasibility is a revised simplex on the same kind of integer
+rows, keeping the basis inverse as sparse rows at positive scales; its
+witnesses and Farkas vectors are re-checked over ints.
 """
 
 from dataclasses import dataclass
@@ -112,7 +109,13 @@ def parse_matrix(text: str) -> RatMatrix:
         entries = ln.split()
         if len(entries) != cols:
             raise ValueError(f"expected {cols} entries per row, got {len(entries)}")
-        data.append([Fraction(e) for e in entries])
+        row = []
+        for e in entries:
+            try:
+                row.append(Fraction(e))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in entry {e!r}") from None
+        data.append(row)
     return RatMatrix(rows, cols, data)
 
 
@@ -123,28 +126,22 @@ def format_matrix(m: RatMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The modular rank works over GF(2^61 - 1); lifted kernel entries must have
-# |numerator|, denominator < 2^30, so 2 * bound^2 < prime and a lift is unique.
-_PRIME = (1 << 61) - 1
-_LIFT_BOUND = 1 << 30
-
-
 def rat_rank(m: RatMatrix) -> int:
-    """Exact rank over the rationals, proved from two sides.
+    """Exact rank over the rationals.
 
     Each row is scaled by the lcm of its denominators into a sparse integer
-    row; scaling rows by nonzero integers keeps the rank.  The modular
-    certificate (_certified_rank) answers on most inputs; when it is
-    undecided, the rank comes from fraction-free (Bareiss) elimination on
-    the same integer rows.
+    row; scaling rows by nonzero integers keeps the rank.  Rows v (e_a - e_b)
+    say x_a = x_b on the kernel; they join the columns into k classes and
+    have rank cols - k.  Their kernel is the vectors constant on each class,
+    x = P z with P the cols x k class indicator, so the rank of all rows is
+    cols - k plus the rank of R P, the other rows R with each column summed
+    into its class.  Fraction-free (Bareiss) elimination gives that rank
+    exactly.
     """
     if m.rows == 0 or m.cols == 0:
         return 0
-    rows = _sparse_integer_rows(m)
-    rank = _certified_rank(rows, m.cols)
-    if rank is None:
-        rank = _bareiss_rank(rows, m.cols)
-    return rank
+    _, k, contracted = _contract_equalities(_sparse_integer_rows(m), m.cols)
+    return m.cols - k + _bareiss_rank(contracted, k)
 
 
 def _sparse_integer_rows(m: RatMatrix):
@@ -162,30 +159,6 @@ def _nonzeros(row):
     denominator 1, so the values alone have the lcm of the whole row."""
     cols = list(compress(range(len(row)), row))
     return cols, list(map(row.__getitem__, cols))
-
-
-def _certified_rank(rows, ncols):
-    """The exact rank if it is proved, else None (undecided).
-
-    Rows v (e_a - e_b) say x_a = x_b on the kernel; they join the columns
-    into k classes and have rank ncols - k.  Their kernel is the vectors
-    constant on each class, x = P z with P the ncols x k class indicator,
-    so the rank of all rows is ncols - k plus the rank of R P, the other
-    rows R with each column summed into its class.  The rank of R P modulo
-    a prime p is a lower bound: a nonzero minor mod p is a nonzero minor
-    over Z.  If it equals k it is tight.  Otherwise each of the free
-    columns of the mod-p echelon form yields a kernel vector z, lifted to
-    Q by rational reconstruction; P z is checked against the untouched rows
-    in exact arithmetic.  The vectors are independent (each is 1 at its
-    own free class and 0 at the others), so they prove the matching upper
-    bound.  When the prime divides a minor that matters, or a kernel entry
-    is too large to lift, the answer is None.
-    """
-    cls, k, others = _contract_equalities(rows, ncols)
-    pivots = _echelon_mod_p(others, k)
-    if len(pivots) == k or _kernel_certified(rows, cls, pivots, k):
-        return ncols - k + len(pivots)
-    return None
 
 
 def _contract_equalities(rows, ncols):
@@ -220,83 +193,6 @@ def _contract_equalities(rows, ncols):
     return cls, len(index), contracted
 
 
-def _echelon_mod_p(rows, ncols):
-    """Row echelon form mod p: {leading column: row normalised to lead 1}.
-
-    Stops early once every column has a pivot.
-    """
-    pivots = {}
-    # Sparsest rows first keeps the echelon rows sparse (on the Phi support
-    # systems, 20x fewer updates than taking the rows in their given order).
-    for row in sorted(rows, key=len):
-        r = {c: v % _PRIME for c, v in row.items() if v % _PRIME}
-        while r:
-            lead = min(r)
-            prow = pivots.get(lead)
-            if prow is None:
-                inv = pow(r[lead], -1, _PRIME)
-                pivots[lead] = {c: v * inv % _PRIME for c, v in r.items()}
-                break
-            f = r[lead]
-            for c, v in prow.items():
-                w = (r.get(c, 0) - f * v) % _PRIME
-                if w:
-                    r[c] = w
-                else:
-                    r.pop(c, None)
-        if len(pivots) == ncols:
-            break
-    return pivots
-
-
-def _kernel_certified(rows, cls, pivots, k) -> bool:
-    """True iff every free class's kernel vector lifts to an exact one of
-    the untouched rows, with column c taking the entry of class cls[c].
-
-    The vector of free class f is 1 at f and 0 at the other free classes;
-    all of them are built at once, class by class: x[j] = {f: entry j}.
-    """
-    x = {f: {f: 1} for f in range(k) if f not in pivots}
-    for lead in sorted(pivots, reverse=True):
-        acc = {}
-        for c, v in pivots[lead].items():
-            for f, w in x.get(c, {}).items():
-                acc[f] = acc.get(f, 0) + v * w
-        x[lead] = {f: -s % _PRIME for f, s in acc.items() if s % _PRIME}
-    lifted = {}
-    for c, col in x.items():
-        for f, w in col.items():
-            q = _lift(w)
-            if q is None:
-                return False
-            lifted.setdefault(f, {})[c] = q
-    kernel = {}  # class -> {free class: integer entry, denominators cleared}
-    for f, vec in lifted.items():
-        mult = lcm(*(q.denominator for q in vec.values()))
-        for c, q in vec.items():
-            kernel.setdefault(c, {})[f] = q.numerator * (mult // q.denominator)
-    for row in rows:
-        acc = {}
-        for c, v in row.items():
-            for f, w in kernel.get(cls[c], {}).items():
-                acc[f] = acc.get(f, 0) + v * w
-        if any(acc.values()):
-            return False
-    return True
-
-
-def _lift(x):
-    """The rational a/b with |a|, b < _LIFT_BOUND and a = b*x mod p, or None."""
-    r0, r1, t0, t1 = _PRIME, x, 0, 1
-    while r1 >= _LIFT_BOUND:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if abs(t1) >= _LIFT_BOUND:
-        return None
-    return Fraction(r1, t1)
-
-
 def _bareiss_rank(sparse_rows, ncols) -> int:
     """Exact rank by fraction-free (Bareiss) elimination over the integers."""
     mat = []
@@ -306,7 +202,6 @@ def _bareiss_rank(sparse_rows, ncols) -> int:
             dense[c] = v
         mat.append(dense)
     nrows = len(mat)
-    rank = 0
     prev = 1
     r = 0
     for c in range(ncols):
@@ -327,11 +222,10 @@ def _bareiss_rank(sparse_rows, ncols) -> int:
             else:
                 mat[i] = [(a * x - b * y) // prev for x, y in zip(row, prow)]
         prev = a
-        rank += 1
         r += 1
         if r == nrows:
             break
-    return rank
+    return r
 
 
 def columns_independent(m: RatMatrix, cols) -> bool:

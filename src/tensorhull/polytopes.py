@@ -48,10 +48,6 @@ class TensorIndex:
         """Flat variable index of the entry ((i,k),(j,l)) in 0..n^4-1."""
         return self.flat(i, k) * self.n * self.n + self.flat(j, l)
 
-    def unvar(self, v: int) -> tuple[int, int, int, int]:
-        nn = self.n * self.n
-        return (*self.pair(v // nn), *self.pair(v % nn))
-
 
 @dataclass
 class ConstraintSystem:

@@ -335,6 +335,17 @@ def test_psi_oracle_usage_errors(tmp_path):
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize("command", ["psi-oracle", "phi-check"])
+def test_zero_denominator_in_matrix_is_usage_error(tmp_path, command):
+    path = tmp_path / "m.txt"
+    path.write_text("1 1\n1/0\n")
+    result = run_cli(command, str(path), "--n", "1")
+    assert result.returncode == 2
+    assert result.stderr == (f"error: cannot read matrix from {path}: "
+                             "zero denominator in entry '1/0'\n")
+    assert "Traceback" not in result.stderr
+
+
 def test_phi_check_member_and_nonmember(tmp_path):
     from tensorhull.counterexample import build_T
     from tensorhull.exactmath import format_matrix

@@ -16,11 +16,7 @@ from tensorhull.exactmath import (
     parse_matrix,
     rat_rank,
 )
-from tensorhull.exactmath import (
-    _certified_rank,
-    _contract_equalities,
-    _sparse_integer_rows,
-)
+from tensorhull.exactmath import _contract_equalities, _sparse_integer_rows
 from helpers import (
     brute_lp_feasible,
     plain_rank,
@@ -55,11 +51,6 @@ def test_rank_matches_plain_elimination():
     assert rat_rank(big) == plain_rank(big) == 2
 
 
-def _certificate(m):
-    """The modular certificate alone: the exact rank, or None if undecided."""
-    return _certified_rank(_sparse_integer_rows(m), m.cols)
-
-
 def _product(a, b):
     return RatMatrix(a.rows, b.cols, [
         [sum((a.data[i][k] * b.data[k][j] for k in range(a.cols)), Fraction(0))
@@ -67,11 +58,10 @@ def _product(a, b):
 
 
 @pytest.mark.parametrize("max_den", [1, 9])
-def test_rank_certificate_matches_plain_elimination(max_den):
+def test_rank_of_low_rank_products_matches_plain_elimination(max_den):
     # integer (max_den=1) and rational inputs: a random matrix, and an
-    # r x k times k x c product of rank <= k < c, which takes the kernel side
+    # r x k times k x c product of rank <= k < c
     rng = random.Random(11 + max_den)
-    decided = 0
     for _ in range(60):
         rows, cols = rng.randint(2, 9), rng.randint(2, 9)
         inner = rng.randint(1, cols - 1)
@@ -80,21 +70,17 @@ def test_rank_certificate_matches_plain_elimination(max_den):
         for m in (random_rational_matrix(rng, rows, cols, max_den=max_den), low):
             expected = plain_rank(m)
             assert rat_rank(m) == expected
-            assert _certificate(m) in (None, expected)
-        decided += _certificate(low) == plain_rank(low) < cols
-    assert decided >= 40
 
 
 @pytest.mark.parametrize("rows, rank", [
-    ([[2**61 - 1, 0], [0, 1]], 2),      # the rank drops mod the prime
-    ([[1, 2**40], [3, 3 * 2**40]], 1),  # kernel entry beyond the lift bound
-    # x0 = x1 joins two columns whose sum mod the prime is 0: the expanded
-    # kernel vector fails the untouched rows, and Bareiss on them finds 3
+    # big-integer edge cases: a Mersenne prime entry, a kernel entry of
+    # 2^40, and a contracted class whose two columns sum to that prime
+    ([[2**61 - 1, 0], [0, 1]], 2),
+    ([[1, 2**40], [3, 3 * 2**40]], 1),
     ([[1, -1, 0], [2**61 - 1, 0, 0], [0, 0, 1]], 3),
 ])
 def test_rank_falls_back_to_bareiss_when_undecided(rows, rank):
     m = RatMatrix.from_rows(rows)
-    assert _certificate(m) is None
     assert rat_rank(m) == plain_rank(m) == rank
 
 
@@ -139,16 +125,14 @@ def _planted_equalities(rng, cols):
 
 def test_rank_with_planted_equality_rows_matches_plain_elimination():
     rng = random.Random(23)
-    decided = 0
     for _ in range(120):
         m = _planted_equalities(rng, rng.randint(2, 9))
         _, k, _ = _contract_equalities(_sparse_integer_rows(m), m.cols)
         assert k < m.cols
-        expected = plain_rank(m)
-        assert rat_rank(m) == expected
-        assert _certificate(m) in (None, expected)
-        decided += _certificate(m) == expected
-    assert decided >= 110
+        assert rat_rank(m) == plain_rank(m)
+    # the last row cancels within the one class: its columns must be summed
+    m = RatMatrix.from_rows([[1, -1, 0], [0, 1, -1], [1, 1, -2]])
+    assert rat_rank(m) == plain_rank(m) == 2
 
 
 @pytest.mark.parametrize("rows, classes, kept", [
@@ -176,10 +160,6 @@ def test_matvec_matches_plain_double_loop():
         assert m.matvec(x) == expected
     with pytest.raises(ValueError):
         RatMatrix.identity(2).matvec([1])
-
-
-def test_certificate_decides_proportional_rows():
-    assert _certificate(RatMatrix.from_rows([[1, 2], [2, 4]])) == 1
 
 
 def test_rank_transpose_invariant():
@@ -374,6 +354,8 @@ def test_matrix_text_parse_errors():
         parse_matrix("2 2\n1 2\n3")
     with pytest.raises(ValueError):
         parse_matrix("1\n1")
+    with pytest.raises(ValueError, match="1/0"):
+        parse_matrix("1 1\n1/0")
 
 
 def test_scalars_keep_ints_and_reject_floats():
