@@ -30,7 +30,6 @@ from .permutations import (
     inverse,
     is_counterexample_sigma,
     parse_permutation,
-    power_of_cyclic,
 )
 from .circulants import VarMatrix, apply_PQ, build_A, build_B, exists_PQ
 from .polytopes import (

@@ -146,6 +146,8 @@ def _summary_table(reports) -> str:
 
 
 def cmd_verify_all(args) -> int:
+    if args.lp:
+        polytopes.check_lp_size(args.n, factorial(args.n) ** 2)
     if args.all_sigmas:
         if args.n > args.sn_cap:
             raise UsageError(f"n={args.n} exceeds --sn-cap {args.sn_cap}")
@@ -189,11 +191,8 @@ def _load_square_matrix(path: str, n: int):
 def cmd_psi_oracle(args) -> int:
     m = _load_square_matrix(args.matrix, args.n)
     mode = args.mode.replace("-", "_")
-    try:
-        result = polytopes.psi_contains(m, args.n, mode=mode,
-                                        allow_large=args.allow_large)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    result = polytopes.psi_contains(m, args.n, mode=mode,
+                                    allow_large=args.allow_large)
     # Re-verify before printing: reconstruction for witnesses, farkas check
     # for certificates (psi_contains already did; this guards the printout).
     if result.in_psi:

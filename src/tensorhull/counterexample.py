@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
+from math import factorial
 
 from .circulants import build_A, build_B, exists_PQ
 from .exactmath import RatMatrix
@@ -22,6 +23,7 @@ from .polytopes import (
     FULL,
     admissible_pairs,
     build_phi_constraints,
+    check_lp_size,
     phi_contains,
     phi_support_rank,
     psi_contains,
@@ -195,7 +197,8 @@ def full_verification(n: int, sigma: Permutation, run_lp: bool | None = None,
     """Run every stage for one (n, sigma) and return the complete report.
 
     No stage is skipped silently: the LP stage records 'skipped' when not
-    run (default for n > 4).  A sigma that passes the admissibility filter
+    run (default for n > 4), and an LP over check_lp_size's cap is refused
+    before the first stage.  A sigma that passes the admissibility filter
     but fails any later stage raises a red flag in the report; it is never
     reconciled away.
     """
@@ -203,6 +206,8 @@ def full_verification(n: int, sigma: Permutation, run_lp: bool | None = None,
         raise ValueError("sigma size does not match n")
     if run_lp is None:
         run_lp = n <= LP_DEFAULT_CAP
+    if run_lp:
+        check_lp_size(n, factorial(n) ** 2)
     report = VerificationReport(n=n, sigma=sigma)
     clock = time.perf_counter
 
@@ -238,7 +243,7 @@ def full_verification(n: int, sigma: Permutation, run_lp: bool | None = None,
         "psi_certificate", lambda: certify_not_in_psi(t, n))
     if run_lp:
         # run_lp=True above the default cap is an explicit request, so the
-        # full-mode size guard is waived here.
+        # full-mode n cap is waived here; the size cap was checked above.
         lp = stage("psi_lp",
                    lambda: psi_contains(t, n, mode=FULL, allow_large=True))
         report.lp_status = LP_FEASIBLE if lp.in_psi else LP_INFEASIBLE

@@ -3,11 +3,16 @@
 A permutation sigma is called *admissible* here when conjugating the full
 cycle rho = (1 2 ... n) by sigma lands outside the subgroup generated by
 rho.  Those sigma are exactly the ones the counterexample construction
-accepts, and there are n! - n*phi(n) of them.
+accepts.  Reading 1..n as Z_n, sigma rho sigma^-1 sends sigma(x) to
+sigma(x+1), so it is rho^i exactly when every step sigma(x+1) - sigma(x) is
+i mod n: sigma is inadmissible iff it is one of the n*phi(n) affine maps
+x -> i*x + b of Z_n (i a unit, b any), which leaves n! - n*phi(n)
+admissible sigma.
 """
 
 import itertools
-from math import factorial
+import re
+from math import factorial, gcd
 
 DEFAULT_SN_CAP = 8
 
@@ -47,26 +52,22 @@ class Permutation:
 
     def cycles(self):
         """Disjoint cycles, each rotated to start at its minimum, sorted."""
-        seen = [False] * self.n
+        seen = set()
         out = []
         for start in range(1, self.n + 1):
-            if seen[start - 1]:
-                continue
-            cyc = [start]
-            seen[start - 1] = True
-            j = self(start)
-            while j != start:
+            cyc = []
+            j = start
+            while j not in seen:
+                seen.add(j)
                 cyc.append(j)
-                seen[j - 1] = True
                 j = self(j)
-            out.append(tuple(cyc))
+            if cyc:
+                out.append(tuple(cyc))
         return out
 
     def cycle_string(self) -> str:
-        nontrivial = [c for c in self.cycles() if len(c) > 1]
-        if not nontrivial:
-            return "()"
-        return "".join("(" + " ".join(str(v) for v in c) + ")" for c in nontrivial)
+        return "".join("(" + " ".join(str(v) for v in c) + ")"
+                       for c in self.cycles() if len(c) > 1) or "()"
 
     def image_string(self) -> str:
         return " ".join(str(v) for v in self.image)
@@ -102,24 +103,16 @@ def conjugate(s: Permutation, r: Permutation) -> Permutation:
     return compose(compose(s, r), inverse(s))
 
 
-def power_of_cyclic(pi: Permutation, n: int | None = None):
-    """Exponent i in 0..n-1 with pi = rho^i, or None if pi is no power of rho."""
-    if n is None:
-        n = pi.n
-    elif n != pi.n:
-        raise ValueError("size mismatch")
-    rho = cyclic(n)
-    cur = identity(n)
-    for i in range(n):
-        if pi == cur:
-            return i
-        cur = compose(rho, cur)
-    return None
-
-
 def is_counterexample_sigma(sigma: Permutation) -> bool:
-    """True iff sigma rho sigma^-1 is not a power of rho."""
-    return power_of_cyclic(conjugate(sigma, cyclic(sigma.n))) is None
+    """True iff sigma rho sigma^-1 is not a power of rho.
+
+    sigma rho sigma^-1 maps sigma(x) to sigma(x+1), so it is rho^i iff every
+    cyclic step sigma(x+1) - sigma(x) is i mod n; those sigma are the n*phi(n)
+    affine maps of Z_n, and every other sigma takes more than one step.
+    """
+    img = sigma.image
+    n = len(img)
+    return len({(img[(x + 1) % n] - img[x]) % n for x in range(n)}) > 1
 
 
 def all_permutations(n: int):
@@ -143,85 +136,47 @@ def enumerate_counterexample_sigmas(n: int, sn_cap: int = DEFAULT_SN_CAP):
 
 
 def euler_phi(n: int) -> int:
-    """Euler totient by trial factorization."""
+    """Euler totient: the number of units of Z_n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    result = n
-    p = 2
-    rem = n
-    while p * p <= rem:
-        if rem % p == 0:
-            while rem % p == 0:
-                rem //= p
-            result -= result // p
-        p += 1
-    if rem > 1:
-        result -= result // rem
-    return result
+    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
+# A cycle spec: parenthesized lists of digits, with spaces, commas or tabs
+# inside and between the cycles and nothing else.
+_CYCLE_SPEC = re.compile(r"[ ,\t]*(?:\([\d ,\t]*\)[ ,\t]*)+")
 
 
 def parse_permutation(text: str, n: int) -> Permutation:
     """Parse 'identity', an image array '2 3 4 1', or cycles '(1 2)(3 4)'.
 
-    Cycle entries may be separated by spaces or commas.  Image arrays must
-    list all of 1..n; cycles may omit fixed points.
+    Cycle entries may be separated by spaces, commas or tabs.  Image arrays
+    must list all of 1..n; cycles may omit fixed points.
     """
     text = text.strip()
     if not text:
         raise ValueError("empty permutation spec")
-    if text.lower() in ("identity", "id", "e", "()"):
+    if text.lower() in ("identity", "id", "e"):
         return identity(n)
-    if "(" in text:
+    if "(" in text or ")" in text:
+        if not _CYCLE_SPEC.fullmatch(text):
+            raise ValueError(f"malformed cycle notation {text!r}")
         img = list(range(1, n + 1))
         used: set[int] = set()
-        depth = 0
-        cycle: list[int] = []
-        token = ""
-
-        def flush_token():
-            if token:
-                cycle.append(int(token))
-
-        for ch in text:
-            if ch == "(":
-                if depth:
-                    raise ValueError("nested parentheses in cycle notation")
-                depth = 1
-                cycle = []
-                token = ""
-            elif ch == ")":
-                if not depth:
-                    raise ValueError("unbalanced ')'")
-                flush_token()
-                token = ""
-                depth = 0
-                _apply_cycle(img, cycle, n, used)
-            elif ch in " ,\t":
-                flush_token()
-                token = ""
-            elif ch.isdigit():
-                if not depth:
-                    raise ValueError(f"digit {ch!r} outside a cycle")
-                token += ch
-            else:
-                raise ValueError(f"unexpected character {ch!r} in cycle notation")
-        if depth:
-            raise ValueError("unbalanced '('")
+        for body in re.findall(r"\(([^)]*)\)", text):
+            cycle = [int(v) for v in re.findall(r"\d+", body)]
+            if len(set(cycle)) != len(cycle):
+                raise ValueError(f"repeated point in cycle {cycle}")
+            for v in cycle:
+                if not 1 <= v <= n:
+                    raise ValueError(f"cycle point {v} outside 1..{n}")
+                if v in used:
+                    raise ValueError(f"point {v} appears in two cycles")
+                used.add(v)
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                img[a - 1] = b
         return Permutation(img)
     img = [int(tok) for tok in text.replace(",", " ").split()]
     if len(img) != n:
         raise ValueError(f"image array has length {len(img)}, expected n={n}")
     return Permutation(img)
-
-
-def _apply_cycle(img, cycle, n, used):
-    if len(set(cycle)) != len(cycle):
-        raise ValueError(f"repeated point in cycle {cycle}")
-    for v in cycle:
-        if not 1 <= v <= n:
-            raise ValueError(f"cycle point {v} outside 1..{n}")
-        if v in used:
-            raise ValueError(f"point {v} appears in two cycles")
-        used.add(v)
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        img[a - 1] = b

@@ -17,6 +17,7 @@ the flat variable index flat(i,k)*n^2 + flat(j,l).
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from operator import mul
 
 from .exactmath import RatMatrix, clear_denominators, lp_feasible, rat_rank
@@ -25,6 +26,9 @@ from .permutations import Permutation, all_permutations
 SUPPORT_FILTERED = "support_filtered"
 FULL = "full"
 FULL_MODE_DEFAULT_CAP = 4
+# Entries of the largest Psi LP solved, the full n = 5 one (626 x 14,400);
+# its rows are dense lists, so the full n = 6 one would fill gigabytes.
+LP_SIZE_CAP = (5 ** 4 + 1) * factorial(5) ** 2
 
 
 class TensorIndex:
@@ -421,6 +425,15 @@ def _verify_psi_farkas(rhs, n: int, pairs, y) -> bool:
     return sum(map(mul, rhs, ys)) < 0
 
 
+def check_lp_size(n: int, cols: int):
+    """Refuse a Psi LP over cols pairs larger than LP_SIZE_CAP entries."""
+    rows = n ** 4 + 1
+    if rows * cols > LP_SIZE_CAP:
+        raise ValueError(
+            f"the Psi LP at n={n} has a {rows} x {cols} canonical system, "
+            f"larger than the full n=5 one (626 x 14400)")
+
+
 def psi_contains(c: RatMatrix, n: int, mode: str = SUPPORT_FILTERED,
                  allow_large: bool = False) -> MembershipResult:
     """Decide exactly whether c is a convex combination of Kronecker vertices.
@@ -428,7 +441,8 @@ def psi_contains(c: RatMatrix, n: int, mode: str = SUPPORT_FILTERED,
     support_filtered first discards every pair whose Kronecker product has a
     one where c has a zero (nonnegativity forces their weight to zero), then
     solves the LP over the surviving columns.  full keeps all n!^2 columns
-    and is capped at n <= 4 unless allow_large is set.  Both modes return
+    and is capped at n <= 4 unless allow_large is set.  Either mode refuses
+    an LP larger than LP_SIZE_CAP (check_lp_size).  Both modes return
     verified witnesses or certificates and must agree on every input.
 
     The LP runs first on the rows of _reduced_groups, which span the
@@ -446,11 +460,13 @@ def psi_contains(c: RatMatrix, n: int, mode: str = SUPPORT_FILTERED,
     if mode == SUPPORT_FILTERED:
         pairs = admissible_pairs(c, n)
         admissible_count = len(pairs)
+        check_lp_size(n, admissible_count)
     elif mode == FULL:
         if n > FULL_MODE_DEFAULT_CAP and not allow_large:
             raise ValueError(
                 f"full mode at n={n} exceeds the default cap "
                 f"{FULL_MODE_DEFAULT_CAP}; pass allow_large=True")
+        check_lp_size(n, factorial(n) ** 2)
         pairs = all_pairs(n)
         admissible_count = None
     else:

@@ -199,6 +199,32 @@ def test_verify_all_sigmas_checks_cap_before_enumerating(monkeypatch, capsys):
     assert "n=12 exceeds --sn-cap 8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "6", "--sigma", "(5 6)", "--lp"],
+    ["verify-all", "--n", "6", "--lp"],
+    ["psi-oracle", "{uniform}", "--n", "6", "--mode", "full", "--allow-large"],
+])
+def test_lp_above_the_size_cap_fails_fast(monkeypatch, capsys, tmp_path,
+                                          argv):
+    from tensorhull import cli, counterexample, permutations, polytopes
+
+    def refuse(*args):
+        raise AssertionError("ran before the LP size check")
+
+    for module, name in ((polytopes, "all_pairs"),
+                         (polytopes, "_grouped_system"),
+                         (counterexample, "is_counterexample_sigma"),
+                         (permutations, "enumerate_counterexample_sigmas")):
+        monkeypatch.setattr(module, name, refuse)
+    uniform = tmp_path / "uniform6.txt"
+    uniform.write_text("36 36\n" + ("1/36 " * 35 + "1/36\n") * 36)
+    code = cli.main([arg.format(uniform=uniform) for arg in argv])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: the Psi LP at n=6 has a 1297 x 518400 canonical system, "
+        "larger than the full n=5 one (626 x 14400)\n")
+
+
 def test_verify_all_pool_never_exceeds_the_jobs(monkeypatch, capsys):
     # The fake pool maps in this process: no worker is ever started.
     from tensorhull import cli

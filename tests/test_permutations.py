@@ -17,7 +17,6 @@ from tensorhull.permutations import (
     inverse,
     is_counterexample_sigma,
     parse_permutation,
-    power_of_cyclic,
 )
 from helpers import brute_is_admissible, random_permutation
 
@@ -58,17 +57,6 @@ def test_compose_inverse_is_identity():
 def test_size_mismatch_errors():
     with pytest.raises(ValueError):
         compose(identity(3), identity(4))
-    with pytest.raises(ValueError):
-        power_of_cyclic(identity(3), 4)
-
-
-def test_power_of_cyclic():
-    rho = cyclic(4)
-    rho2 = compose(rho, rho)
-    assert rho2.image == (3, 4, 1, 2)  # (1 3)(2 4)
-    assert power_of_cyclic(rho2) == 2
-    assert power_of_cyclic(identity(4)) == 0
-    assert power_of_cyclic(parse_permutation("(1 2 4 3)", 4)) is None
 
 
 def test_is_counterexample_sigma_examples():
@@ -88,12 +76,29 @@ def test_enumeration_counts_match_formula():
 
 
 def test_enumeration_matches_brute_oracle():
-    for n in (3, 4, 5):
+    for n in (3, 4, 5, 6, 7):
         ours = {s.image for s in enumerate_counterexample_sigmas(n)}
         brute = {img for img in
                  (p.image for p in all_permutations(n))
                  if brute_is_admissible(img)}
         assert ours == brute
+    # Past the enumeration, n = 8..12: a seeded sample of S_n (nearly all
+    # admissible), every affine map x -> i*x + b of Z_n (none admissible),
+    # and each affine map with one transposition applied (all admissible).
+    rng = random.Random(23)
+    for n in range(8, 13):
+        sample = [random_permutation(rng, n) for _ in range(300)]
+        affine = [Permutation(((i * x + b) % n) + 1 for x in range(n))
+                  for i in range(n) if gcd(i, n) == 1 for b in range(n)]
+        assert len(affine) == n * euler_phi(n)
+        swapped = [compose(parse_permutation("(1 2)", n), a) for a in affine]
+        for sigma in sample + affine + swapped:
+            assert is_counterexample_sigma(sigma) == brute_is_admissible(
+                sigma.image)
+        assert not any(map(is_counterexample_sigma, affine))
+        assert all(map(is_counterexample_sigma, swapped))
+    assert len(enumerate_counterexample_sigmas(8)) == 40288
+    assert factorial(8) - 8 * euler_phi(8) == 40288
 
 
 def test_enumeration_cap():
@@ -126,13 +131,11 @@ def test_difference_characterization():
 
 
 def test_inversion_symmetry():
-    # Both conjugation orientations classify every sigma identically, n <= 5.
+    # sigma and sigma^-1 are admissible together, n <= 5.
     for n in range(1, 6):
-        rho = cyclic(n)
         for sigma in all_permutations(n):
-            left = power_of_cyclic(conjugate(sigma, rho)) is None
-            right = power_of_cyclic(conjugate(inverse(sigma), rho)) is None
-            assert left == right
+            assert (is_counterexample_sigma(sigma)
+                    == is_counterexample_sigma(inverse(sigma)))
 
 
 def test_euler_phi():
@@ -151,11 +154,15 @@ def test_parse_image_and_cycles():
     assert parse_permutation("(1 2)(3 4)", 4).image == (2, 1, 4, 3)
     assert parse_permutation("identity", 5) == identity(5)
     assert parse_permutation("(1,2)", 3).image == (2, 1, 3)
+    assert parse_permutation("(1,2), (3 4)", 4).image == (2, 1, 4, 3)
+    assert parse_permutation("(1 2)()(3 4)", 4).image == (2, 1, 4, 3)
+    assert parse_permutation(" (1 2 3 4) ", 4) == cyclic(4)
 
 
 def test_parse_errors():
     for bad in ("", "1 2 2", "1 2", "(1 2", "(1 2)(2 3)", "(0 1)", "(1 5)",
-                "(1 2) 3", "3(1 2)", "(1 2) 3 4"):
+                "(1 2) 3", "3(1 2)", "(1 2) 3 4", ")", "((1 2))", "(1 x)",
+                "(1 2))", "(1 2)("):
         with pytest.raises(ValueError):
             parse_permutation(bad, 4)
 

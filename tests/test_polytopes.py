@@ -578,6 +578,29 @@ def test_psi_rejects_bad_input():
         psi_contains(uniform_matrix(2), 2, mode="nonsense")
 
 
+def test_psi_lp_size_cap(monkeypatch):
+    from tensorhull import polytopes
+
+    # The full n = 5 system (626 x 14,400) is the largest LP allowed.
+    polytopes.check_lp_size(5, 14400)
+    with pytest.raises(ValueError, match="626 x 14401"):
+        polytopes.check_lp_size(5, 14401)
+
+    def refuse(*args):
+        raise AssertionError("Psi LP built above the size cap")
+
+    monkeypatch.setattr(polytopes, "all_pairs", refuse)
+    monkeypatch.setattr(polytopes, "_grouped_system", refuse)
+    with pytest.raises(ValueError, match="1297 x 518400"):
+        psi_contains(uniform_matrix(6), 6, mode="full", allow_large=True)
+    # A support-filtered LP over as many pairs is refused the same way
+    # (1297 x 6951 entries is one column over the cap).
+    monkeypatch.setattr(polytopes, "admissible_pairs",
+                        lambda c, n: [None] * 6951)
+    with pytest.raises(ValueError, match="1297 x 6951"):
+        psi_contains(uniform_matrix(6), 6)
+
+
 def test_admissible_pairs_and_support():
     n = 4
     t = build_T(n, identity(n))
