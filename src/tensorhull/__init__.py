@@ -11,6 +11,7 @@ independent LP oracle with verifiable Farkas certificates.
 from .exactmath import (
     Feasibility,
     RatMatrix,
+    SparseMatrix,
     check_farkas,
     columns_independent,
     format_matrix,

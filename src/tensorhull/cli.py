@@ -42,7 +42,7 @@ class UsageError(Exception):
 
 
 def cmd_count_sigmas(args) -> int:
-    sigmas = permutations.enumerate_counterexample_sigmas(args.n, args.sn_cap)
+    sigmas = permutations.admissible_sigmas(args.n, args.sn_cap)
     formula = factorial(args.n) - args.n * permutations.euler_phi(args.n)
     match = len(sigmas) == formula
     if args.format == "json":

@@ -7,16 +7,16 @@ rows left after clearing denominators.  Rows of the form v (e_a - e_b) are
 contracted first: they join columns into classes, and their rank is the
 number of columns joined.  Fraction-free (Bareiss) elimination on the other
 rows, with each column summed into its class, gives the rest of the rank
-exactly.  LP feasibility is a revised simplex on the same kind of integer
-rows, keeping the basis inverse as sparse rows at positive scales; its
-witnesses and Farkas vectors are re-checked over ints.
+exactly.  LP feasibility is a revised simplex on sparse rows (SparseMatrix),
+keeping the basis inverse as sparse rows at positive scales; its witnesses
+and Farkas vectors are re-checked over the same rows, in ints.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import compress
 from math import gcd, lcm
-from operator import add, attrgetter, mul
+from operator import attrgetter, mul
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -91,6 +91,15 @@ class RatMatrix:
         cols, values = _nonzeros(x)
         return [sum(map(mul, map(row.__getitem__, cols), values))
                 for row in self.data]
+
+
+class SparseMatrix:
+    """rows x cols, one {column: value} dict per row, zeros absent."""
+
+    __slots__ = ("rows", "cols", "data")
+
+    def __init__(self, rows: int, cols: int, data):
+        self.rows, self.cols, self.data = rows, cols, data
 
 
 def parse_matrix(text: str) -> RatMatrix:
@@ -272,34 +281,36 @@ def clear_denominators(values):
                   else v.numerator * (mult // v.denominator) for v in values]
 
 
-def check_farkas(c_matrix: RatMatrix, d, y) -> bool:
+def check_farkas(c_matrix: SparseMatrix, d, y) -> bool:
     """Independent check that y certifies infeasibility of {x>=0 : Cx=d}.
 
-    y is scaled once by the lcm of its denominators, a positive factor that
-    keeps the sign of every entry of C'y and of d'y; on integer rows of C
-    the column sums then run over ints.
+    y and d are each scaled once by the lcm of their denominators, positive
+    factors that keep the sign of every entry of C'y and of d'y; on integer
+    rows of C the sums then run over ints, one term per nonzero of C.
     """
     if len(d) != c_matrix.rows or len(y) != c_matrix.rows:
         raise ValueError("dimension mismatch")
     _, ys = clear_denominators(y)
+    _, ds = clear_denominators(d)
     acc = [0] * c_matrix.cols
     dty = 0
-    for row, di, yi in zip(c_matrix.data, d, ys):
+    for row, di, yi in zip(c_matrix.data, ds, ys):
         if yi:
-            acc = list(map(add, acc, map(mul, row, repeat(yi))))
+            for j, v in row.items():
+                acc[j] += v * yi
             dty += di * yi
     return min(acc, default=0) >= 0 and dty < 0
 
 
-def lp_feasible(c_matrix: RatMatrix, d) -> Feasibility:
+def lp_feasible(c_matrix: SparseMatrix, d) -> Feasibility:
     """Decide exactly whether {x >= 0 : Cx = d} is nonempty.
 
-    Phase-1 revised simplex over the integer rows of [C | d] (see
-    _phase1_simplex).  Entering column: most negative reduced cost, ties
-    broken by lowest index; leaving row: lexicographic ratio test keyed on
-    (rhs, artificial columns), which guarantees termination on degenerate
-    systems and makes the output deterministic.  The witness or certificate
-    is re-verified against the original data before returning.
+    Phase-1 revised simplex over the sparse rows of [C | d], scaled to
+    integers (see _phase1_simplex).  Entering column: most negative reduced
+    cost, ties broken by lowest index; leaving row: lexicographic ratio test
+    keyed on (rhs, artificial columns), which guarantees termination on
+    degenerate systems and makes the output deterministic.  The witness or
+    certificate is re-verified against the original data before returning.
     """
     m, nvars = c_matrix.rows, c_matrix.cols
     if len(d) != m:
@@ -312,9 +323,8 @@ def lp_feasible(c_matrix: RatMatrix, d) -> Feasibility:
             raise AssertionError("simplex returned a negative witness entry")
         # Cx = d with x scaled to ints by the lcm of its denominators.
         mult, xs = clear_denominators(x)
-        support = [(j, v) for j, v in enumerate(xs) if v]
-        if any(sum(row[j] * v for j, v in support) != di * mult
-               for row, di in zip(c_matrix.data, d)):
+        if any(sum(map(mul, map(xs.__getitem__, row), row.values()))
+               != di * mult for row, di in zip(c_matrix.data, d)):
             raise AssertionError("simplex witness failed re-substitution")
         return Feasibility(FEASIBLE, witness=x)
     y = x_or_y
@@ -326,9 +336,10 @@ def lp_feasible(c_matrix: RatMatrix, d) -> Feasibility:
 def _phase1_simplex(c_rows, d, nvars):
     """Phase-1 revised simplex over integer data; returns (status, x or y).
 
-    Row i of [C | d] is scaled to integers with rhs >= 0, and an artificial
-    column e_i is added, so the first basis is the artificials and the
-    tableau is always B^-1 [A | I | b].  Only two parts of it are kept:
+    c_rows are C's sparse {column: value} rows.  Row i of [C | d] is
+    scaled to integers with rhs >= 0, and an artificial column e_i is
+    added, so the first basis is the artificials and the tableau is always
+    B^-1 [A | I | b].  Only two parts of it are kept:
 
     - binv[i], row i of [B^-1 | B^-1 b] as a sparse {column: int} (the rhs
       under key m), held at its own positive scale;
@@ -349,11 +360,10 @@ def _phase1_simplex(c_rows, d, nvars):
     # Flip signs so rhs >= 0; mults[i] maps certificates back to row i of C.
     arows, cols, mults, rhs = [], [[] for _ in range(nvars)], [], []
     for i, (row, di) in enumerate(zip(c_rows, d)):
-        idx, values = _nonzeros(row)
-        mult, ints = clear_denominators([*values, di])
+        mult, ints = clear_denominators([*row.values(), di])
         if ints[-1] < 0:
             mult, ints = -mult, [-v for v in ints]
-        entries = list(zip(idx, ints))
+        entries = list(zip(row, ints))
         for j, v in entries:
             cols[j].append((i, v))
         arows.append(entries)
@@ -466,19 +476,3 @@ def _least_ratio(cands, k, binv, col):
         elif c == 0:
             keep.append(i)
     return keep
-
-__all__ = [
-    "Fraction",
-    "RatMatrix",
-    "Feasibility",
-    "FEASIBLE",
-    "INFEASIBLE",
-    "as_rational",
-    "parse_matrix",
-    "format_matrix",
-    "rat_rank",
-    "columns_independent",
-    "lp_feasible",
-    "check_farkas",
-    "clear_denominators",
-]

@@ -121,13 +121,18 @@ def all_permutations(n: int):
         yield Permutation(img)
 
 
-def enumerate_counterexample_sigmas(n: int, sn_cap: int = DEFAULT_SN_CAP):
-    """All admissible sigma in S_n, lexicographic; length is n! - n*phi(n)."""
+def admissible_sigmas(n: int, sn_cap: int = DEFAULT_SN_CAP):
+    """All admissible sigma in S_n, lexicographic, by the test alone."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > sn_cap:
         raise ValueError(f"n={n} exceeds the full enumeration cap {sn_cap}")
-    found = [s for s in all_permutations(n) if is_counterexample_sigma(s)]
+    return [s for s in all_permutations(n) if is_counterexample_sigma(s)]
+
+
+def enumerate_counterexample_sigmas(n: int, sn_cap: int = DEFAULT_SN_CAP):
+    """admissible_sigmas, asserted to number n! - n*phi(n)."""
+    found = admissible_sigmas(n, sn_cap)
     expected = factorial(n) - n * euler_phi(n)
     if len(found) != expected:
         raise AssertionError(

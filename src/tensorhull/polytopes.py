@@ -14,20 +14,23 @@ to n*(i-1)+(k-1), and the entry ((i,k),(j,l)) of an n^2 x n^2 matrix gets
 the flat variable index flat(i,k)*n^2 + flat(j,l).
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import factorial
 from operator import mul
 
-from .exactmath import RatMatrix, clear_denominators, lp_feasible, rat_rank
+from .exactmath import (RatMatrix, SparseMatrix, clear_denominators,
+                        lp_feasible, rat_rank)
 from .permutations import Permutation, all_permutations
 
 SUPPORT_FILTERED = "support_filtered"
 FULL = "full"
 FULL_MODE_DEFAULT_CAP = 4
 # Entries of the largest Psi LP solved, the full n = 5 one (626 x 14,400);
-# its rows are dense lists, so the full n = 6 one would fill gigabytes.
+# even as sparse rows, the full n = 6 one would take gigabytes to build.
 LP_SIZE_CAP = (5 ** 4 + 1) * factorial(5) ** 2
 
 
@@ -202,11 +205,13 @@ def kron(p: Permutation, q: Permutation) -> RatMatrix:
 
 
 def kron_support(p: Permutation, q: Permutation):
-    """Flat variable indices of the n^2 ones of kron(p, q)."""
+    """Flat variable indices of the n^2 ones of kron(p, q), row-major, each
+    the offset of (i, p(i)) plus that of (k, q(k))."""
     n = p.n
     nn = n * n
-    return [(n * i + k) * nn + n * (pi - 1) + (qk - 1)
-            for i, pi in enumerate(p.image) for k, qk in enumerate(q.image)]
+    qo = [k * nn + qk - 1 for k, qk in enumerate(q.image)]
+    return [a + b for i, pi in enumerate(p.image)
+            for a in (n * (i * nn + pi - 1),) for b in qo]
 
 
 def support_columns(c: RatMatrix):
@@ -289,8 +294,9 @@ def admissible_pairs(c: RatMatrix, n: int):
     A pruned exhaustive search: p grows one row block i at a time, and for
     each k a bitmask holds the columns l still open to q(k), those with
     c[(i,k),(p(i),l)] nonzero for every placed i.  A prefix of p that
-    leaves some k no open column is cut; each complete p lists its q's
-    among the open columns.
+    leaves some k no open column is cut.  The q's of each complete p are
+    counted first, and more pairs than check_lp_size allows are refused
+    before one is built; then each p lists its q's among the open columns.
     """
     nn = n * n
     if c.rows != nn or c.cols != nn:
@@ -299,7 +305,7 @@ def admissible_pairs(c: RatMatrix, n: int):
     # masks[i][j][k]: bit l is set iff c[(i,k),(j,l)] is nonzero.
     masks = [[[sum(1 << l for l in rng if c.data[n * i + k][n * j + l])
                for k in rng] for j in rng] for i in rng]
-    out = []
+    found = []  # (p image, open masks) of every complete p
 
     def qs(open_, k, used):
         if k == n:
@@ -313,8 +319,7 @@ def admissible_pairs(c: RatMatrix, n: int):
 
     def grow(i, used, p_img, open_):
         if i == n:
-            p = Permutation(p_img)
-            out.extend((p, Permutation(q_img)) for q_img in qs(open_, 0, 0))
+            found.append((p_img, tuple(open_)))
             return
         for j in rng:
             if not used >> j & 1:
@@ -322,14 +327,24 @@ def admissible_pairs(c: RatMatrix, n: int):
                 if all(nxt):
                     grow(i + 1, used | 1 << j, (*p_img, j + 1), nxt)
 
+    @lru_cache(maxsize=None)
+    def count(open_, k, used):  # the q's that qs(open_, k, used) would list
+        if k == n:
+            return 1
+        free = open_[k] & ~used
+        return sum(count(open_, k + 1, used | 1 << l)
+                   for l in rng if free >> l & 1)
+
     grow(0, 0, (), [(1 << n) - 1] * n)
-    return out
+    check_lp_size(n, sum(count(open_, 0, 0) for _, open_ in found))
+    return [(p, Permutation(q_img)) for p_img, open_ in found
+            for p in [Permutation(p_img)] for q_img in qs(open_, 0, 0)]
 
 
-def membership_system(c: RatMatrix, n: int, pairs) -> tuple[RatMatrix, list]:
+def membership_system(c: RatMatrix, n: int, pairs) -> tuple[SparseMatrix, list]:
     """The canonical LP data: one row per entry of c plus the sum-to-1 row.
 
-    The coefficients are the ints 0 and 1; d holds the entries of c and 1.
+    The coefficients are ones, held sparsely; d holds the entries of c and 1.
     """
     return _grouped_system(*_scaled_rhs(c), n, pairs, _canonical_groups(n))
 
@@ -383,21 +398,21 @@ def _grouped_system(mult: int, rhs, n: int, pairs, groups):
     """The LP data whose row r is the sum of the canonical rows in groups[r].
 
     Column (p, q) of row r counts the members of groups[r] in
-    kron_support(p, q) + [n^4]; d_r sums the canonical rhs over the group,
+    kron_support(p, q) + [n^4], and only nonzero counts are stored:
+    holders[v] lists the columns with a one in canonical row v, which is
+    row r when groups[r] = (v,).  d_r sums the canonical rhs over the group,
     from its scaled ints rhs (see _scaled_rhs) and their factor mult.
     """
-    n4 = n ** 4
-    member = [[] for _ in range(n4 + 1)]
-    for r, group in enumerate(groups):
-        for v in group:
-            member[v].append(r)
-    data = [[0] * len(pairs) for _ in groups]
+    holders = [[] for _ in range(n ** 4)]
     for j, (p, q) in enumerate(pairs):
-        for v in (*kron_support(p, q), n4):
-            for r in member[v]:
-                data[r][j] += 1
+        for v in kron_support(p, q):
+            holders[v].append(j)
+    holders.append(range(len(pairs)))  # the sum-to-1 row
+    data = [dict.fromkeys(holders[group[0]], 1) if len(group) == 1 else
+            Counter(chain.from_iterable(map(holders.__getitem__, group)))
+            for group in groups]
     d = [Fraction(sum(rhs[v] for v in group), mult) for group in groups]
-    return RatMatrix(len(groups), len(pairs), data), d
+    return SparseMatrix(len(groups), len(pairs), data), d
 
 
 def _lift_farkas(y, groups, n: int):
@@ -420,7 +435,7 @@ def _verify_psi_farkas(rhs, n: int, pairs, y) -> bool:
     n4 = n ** 4
     _, ys = clear_denominators(y)
     for p, q in pairs:
-        if ys[n4] + sum(ys[v] for v in kron_support(p, q)) < 0:
+        if ys[n4] + sum(map(ys.__getitem__, kron_support(p, q))) < 0:
             return False
     return sum(map(mul, rhs, ys)) < 0
 

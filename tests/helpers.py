@@ -11,9 +11,9 @@ import math
 from fractions import Fraction
 
 from tensorhull.circulants import build_A, build_B
-from tensorhull.exactmath import RatMatrix
+from tensorhull.exactmath import RatMatrix, SparseMatrix
 from tensorhull.permutations import Permutation, all_permutations
-from tensorhull.polytopes import TensorIndex
+from tensorhull.polytopes import TensorIndex, kron_support
 
 # The published 16x16 transfer matrix for n=4, sigma=(3 4), transcribed by
 # hand as the 1-based column positions of the 1/4 entries in each row.
@@ -345,3 +345,45 @@ def reference_simplex(c: RatMatrix, d):
                 x[j] = t[-1]
         return "feasible", x
     return "infeasible", [(z[nvars + i] - 1) * mults[i] for i in range(m)]
+
+
+def sparse(m: RatMatrix) -> SparseMatrix:
+    """The SparseMatrix of a dense matrix: its nonzero entries by row."""
+    data = [{j: v for j, v in enumerate(row) if v} for row in m.data]
+    return SparseMatrix(m.rows, m.cols, data)
+
+
+def dense(m: SparseMatrix) -> RatMatrix:
+    """The dense RatMatrix of a SparseMatrix, zeros written out."""
+    data = [[0] * m.cols for _ in range(m.rows)]
+    for out, row in zip(data, m.data):
+        for j, v in row.items():
+            out[j] = v
+    return RatMatrix(m.rows, m.cols, data)
+
+
+def dense_grouped_system(mult: int, rhs, n: int, pairs, groups):
+    """The grouped Psi LP data as dense rows: row r, column (p, q) counts the
+    members of groups[r] in kron_support(p, q) + [n^4], written into a
+    rows x pairs list of lists."""
+    n4 = n ** 4
+    member = [[] for _ in range(n4 + 1)]
+    for r, group in enumerate(groups):
+        for v in group:
+            member[v].append(r)
+    data = [[0] * len(pairs) for _ in groups]
+    for j, (p, q) in enumerate(pairs):
+        for v in (*kron_support(p, q), n4):
+            for r in member[v]:
+                data[r][j] += 1
+    d = [Fraction(sum(rhs[v] for v in group), mult) for group in groups]
+    return RatMatrix(len(groups), len(pairs), data), d
+
+
+def dense_check_farkas(c: RatMatrix, d, y) -> bool:
+    """C'y >= 0 in every column and d'y < 0, summed column by column over
+    every entry of the dense rows, in Fractions."""
+    cty = [sum((Fraction(row[j]) * yi for row, yi in zip(c.data, y)),
+               Fraction(0)) for j in range(c.cols)]
+    dty = sum((Fraction(di) * yi for di, yi in zip(d, y)), Fraction(0))
+    return all(v >= 0 for v in cty) and dty < 0

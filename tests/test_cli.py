@@ -74,6 +74,18 @@ def test_count_sigmas():
         assert result.stdout.strip() == expected
 
 
+def test_count_sigmas_reports_a_mismatch(monkeypatch, capsys):
+    from tensorhull import cli, permutations
+
+    monkeypatch.setattr(permutations, "euler_phi", lambda n: 1)
+    code = cli.main(["count-sigmas", "--n", "5", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert json.loads(out) == {"n": 5, "count": 100, "formula": 115,
+                               "match": False}
+    assert err == ""
+
+
 def test_count_sigmas_over_cap():
     result = run_cli("count-sigmas", "--n", "9")
     assert result.returncode == 2

@@ -9,6 +9,7 @@ from tensorhull.exactmath import (
     FEASIBLE,
     INFEASIBLE,
     RatMatrix,
+    SparseMatrix,
     check_farkas,
     columns_independent,
     format_matrix,
@@ -19,9 +20,11 @@ from tensorhull.exactmath import (
 from tensorhull.exactmath import _contract_equalities, _sparse_integer_rows
 from helpers import (
     brute_lp_feasible,
+    dense_check_farkas,
     plain_rank,
     random_rational_matrix,
     reference_simplex,
+    sparse,
 )
 
 
@@ -207,14 +210,14 @@ def test_columns_independent_matches_rank():
 
 
 def test_lp_trivial_feasible():
-    c = RatMatrix.from_rows([[1, 1]])
+    c = sparse(RatMatrix.from_rows([[1, 1]]))
     res = lp_feasible(c, [Fraction(1)])
     assert res.status == FEASIBLE
     assert res.witness == [Fraction(1), Fraction(0)]
 
 
 def test_lp_trivial_infeasible():
-    c = RatMatrix.from_rows([[1, 1]])
+    c = sparse(RatMatrix.from_rows([[1, 1]]))
     res = lp_feasible(c, [Fraction(-1)])
     assert res.status == INFEASIBLE
     assert res.farkas == [Fraction(1)]
@@ -222,12 +225,12 @@ def test_lp_trivial_infeasible():
 
 
 def test_check_farkas_rejects_bad_vector():
-    c = RatMatrix.from_rows([[1, 1]])
+    c = sparse(RatMatrix.from_rows([[1, 1]]))
     assert not check_farkas(c, [Fraction(1)], [Fraction(1)])
 
 
 def test_lp_dimension_mismatch():
-    c = RatMatrix.from_rows([[1, 1]])
+    c = sparse(RatMatrix.from_rows([[1, 1]]))
     with pytest.raises(ValueError):
         lp_feasible(c, [Fraction(1), Fraction(2)])
     with pytest.raises(ValueError):
@@ -244,7 +247,7 @@ def test_lp_random_feasible_roundtrip():
         c = random_rational_matrix(rng, rows, cols)
         x = [Fraction(rng.randint(0, 5), rng.randint(1, 4)) for _ in range(cols)]
         d = c.matvec(x)
-        res = lp_feasible(c, d)
+        res = lp_feasible(sparse(c), d)
         assert res.status == FEASIBLE
         assert c.matvec(res.witness) == d
         assert all(v >= 0 for v in res.witness)
@@ -258,19 +261,19 @@ def test_lp_random_certificates_verify():
         cols = rng.randint(1, 5)
         c = random_rational_matrix(rng, rows, cols)
         d = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rows)]
-        res = lp_feasible(c, d)
+        res = lp_feasible(sparse(c), d)
         if res.status == FEASIBLE:
             assert c.matvec(res.witness) == d
             assert all(v >= 0 for v in res.witness)
         else:
             infeasible_seen += 1
-            assert check_farkas(c, d, res.farkas)
+            assert check_farkas(sparse(c), d, res.farkas)
     assert infeasible_seen > 0
 
 
 def test_lp_deterministic():
     rng = random.Random(13)
-    c = random_rational_matrix(rng, 4, 6)
+    c = sparse(random_rational_matrix(rng, 4, 6))
     d = [Fraction(v) for v in (1, 0, 2, 1)]
     first = lp_feasible(c, d)
     second = lp_feasible(c, d)
@@ -280,7 +283,7 @@ def test_lp_deterministic():
 
 
 def test_lp_zero_columns():
-    c = RatMatrix(2, 0, [[], []])
+    c = SparseMatrix(2, 0, [{}, {}])
     assert lp_feasible(c, [Fraction(0), Fraction(0)]).status == FEASIBLE
     res = lp_feasible(c, [Fraction(0), Fraction(1)])
     assert res.status == INFEASIBLE
@@ -331,7 +334,7 @@ def test_lp_status_matches_basis_enumeration():
     seen = {FEASIBLE: 0, INFEASIBLE: 0}
     for trial in range(240):
         c, d = _degenerate_system(rng, DEGENERATE_KINDS[trial % 6])
-        res = lp_feasible(c, d)
+        res = lp_feasible(sparse(c), d)
         assert res.feasible == brute_lp_feasible(c, d), (trial, c.data, d)
         # The revised simplex takes the dense tableau's pivots, so it returns
         # the same witness or Farkas vector.
@@ -339,6 +342,32 @@ def test_lp_status_matches_basis_enumeration():
         assert (res.status, out) == reference_simplex(c, d), (trial, c.data, d)
         seen[res.status] += 1
     assert min(seen.values()) >= 40, seen
+
+
+def test_check_farkas_matches_dense_oracle():
+    # The systems of test_lp_status_matches_basis_enumeration: the sparse
+    # check must agree with the dense column sums on each Farkas vector (a
+    # seeded vector for the feasible systems), and again after one of its
+    # entries is perturbed.
+    rng = random.Random(2024)
+    yrng = random.Random(2025)
+    verdicts = set()
+    for trial in range(240):
+        c, d = _degenerate_system(rng, DEGENERATE_KINDS[trial % 6])
+        res = lp_feasible(sparse(c), d)
+        y = res.farkas or [Fraction(yrng.randint(-3, 3), yrng.randint(1, 3))
+                           for _ in range(c.rows)]
+        perturbed = list(y)
+        perturbed[yrng.randrange(c.rows)] += Fraction(yrng.choice((-1, 1)),
+                                                      yrng.randint(1, 4))
+        for vector in (y, perturbed):
+            verdict = check_farkas(sparse(c), d, vector)
+            assert verdict == dense_check_farkas(c, d, vector), (trial, vector)
+            verdicts.add((res.feasible, vector is y, verdict))
+    # Every Farkas vector passes, and some perturbations break one.
+    assert (False, True, True) in verdicts
+    assert (False, False, False) in verdicts
+    assert (False, True, False) not in verdicts
 
 
 def test_matrix_text_roundtrip():
@@ -365,8 +394,8 @@ def test_scalars_keep_ints_and_reject_floats():
     with pytest.raises(TypeError):
         RatMatrix.from_rows([[1, 0.5]])
     with pytest.raises(TypeError):
-        lp_feasible(RatMatrix.from_rows([[1, 1]]), [1.0])
-    res = lp_feasible(RatMatrix.from_rows([[1, 2]]), [4])
+        lp_feasible(sparse(RatMatrix.from_rows([[1, 1]])), [1.0])
+    res = lp_feasible(sparse(RatMatrix.from_rows([[1, 2]])), [4])
     assert res.witness == [0, 2]
 
 

@@ -44,6 +44,8 @@ from tensorhull.polytopes import (
 from helpers import (
     brute_admissible_pairs,
     convex_combination,
+    dense,
+    dense_grouped_system,
     plain_residuals,
     random_doubly_stochastic,
     random_permutation,
@@ -471,6 +473,7 @@ def test_reduced_rows_span_the_canonical_system(n):
     reduced, d_reduced = _grouped_system(*_scaled_rhs(c), n, pairs,
                                           _reduced_groups(n))
     canon, d_canon = membership_system(c, n, pairs)
+    reduced, canon = dense(reduced), dense(canon)
     assert rat_rank(reduced) == rat_rank(canon) == ((n - 1) ** 2 + 1) ** 2
     # The canonical columns are the flattened vertices with a 1 appended.
     for column, (p, q) in zip(zip(*canon.data), pairs):
@@ -481,6 +484,28 @@ def test_reduced_rows_span_the_canonical_system(n):
         assert row == [sum(col) for col in
                        zip(*(canon.data[v] for v in group))]
         assert rhs == sum(d_canon[v] for v in group)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_grouped_system_matches_dense_oracle(n):
+    # The sparse rows hold exactly the nonzeros of the dense rows, for both
+    # tables, over all pairs and over the support-filtered pairs of a T, a
+    # vertex mix and a span-perturbed mix.
+    rng = random.Random(95 + n)
+    mats = [build_T(n, random_permutation(rng, n)), vertex_mix(rng, n, 2),
+            span_perturbed(rng, n)]
+    cases = [(mats[1], all_pairs(n))]
+    cases += [(c, admissible_pairs(c, n)) for c in mats]
+    assert min(len(pairs) for _, pairs in cases) < len(cases[0][1])
+    for c, pairs in cases:
+        for groups in (_reduced_groups(n), _canonical_groups(n)):
+            args = (*_scaled_rhs(c), n, pairs, groups)
+            got, d = _grouped_system(*args)
+            want, d_want = dense_grouped_system(*args)
+            assert (got.rows, got.cols) == (want.rows, want.cols)
+            assert got.data == [{j: v for j, v in enumerate(row) if v}
+                                for row in want.data]
+            assert d == d_want
 
 
 def test_psi_lp_pivots_match_reference_tableau():
@@ -504,7 +529,7 @@ def test_psi_lp_pivots_match_reference_tableau():
     for c, d in systems:
         res = lp_feasible(c, d)
         out = res.witness if res.feasible else res.farkas
-        assert (res.status, out) == reference_simplex(c, d)
+        assert (res.status, out) == reference_simplex(dense(c), d)
         seen.add(res.status)
     assert len(seen) == 2
 
@@ -599,6 +624,43 @@ def test_psi_lp_size_cap(monkeypatch):
                         lambda c, n: [None] * 6951)
     with pytest.raises(ValueError, match="1297 x 6951"):
         psi_contains(uniform_matrix(6), 6)
+
+
+def test_support_filtered_size_cap_counts_before_listing(monkeypatch):
+    # On the uniform matrix at n = 6 all 518,400 pairs are admissible: the
+    # search must count them and refuse before it builds the permutations.
+    from tensorhull import polytopes
+
+    built = []
+
+    def counted(image):
+        built.append(image)
+        if len(built) > 1000:
+            raise AssertionError("listed the pairs before the size check")
+        return Permutation(image)
+
+    monkeypatch.setattr(polytopes, "Permutation", counted)
+    with pytest.raises(ValueError, match="1297 x 518400"):
+        psi_contains(uniform_matrix(6), 6)
+    with pytest.raises(ValueError, match="1297 x 518400"):
+        admissible_pairs(uniform_matrix(6), 6)
+    # Below the cap the count that is checked is the length of the list.
+    monkeypatch.undo()
+    checked = []
+    monkeypatch.setattr(polytopes, "check_lp_size",
+                        lambda n, cols: checked.append(cols))
+    rng = random.Random(31)
+    cases = [(3, uniform_matrix(3)), (4, vertex_mix(rng, 4, 3)),
+             (4, build_T(4, identity(4))), (4, uniform_matrix(4))]
+    # Random supports, where a q can run out of columns at its last value.
+    for n in (3, 4) * 10:
+        cases.append((n, RatMatrix.from_rows(
+            [[int(rng.random() < 0.75) for _ in range(n * n)]
+             for _ in range(n * n)])))
+    for n, c in cases:
+        pairs = admissible_pairs(c, n)
+        assert checked[-1] == len(pairs) == len(brute_admissible_pairs(c, n))
+    assert len(checked) == len(cases)  # one count per search
 
 
 def test_admissible_pairs_and_support():
