@@ -13,7 +13,6 @@ from .exactmath import (
     RatMatrix,
     SparseMatrix,
     check_farkas,
-    columns_independent,
     format_matrix,
     lp_feasible,
     parse_matrix,

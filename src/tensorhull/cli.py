@@ -8,7 +8,6 @@ stable machine format; text output is for humans.
 import argparse
 import functools
 import json
-import multiprocessing
 import sys
 from math import factorial
 
@@ -158,6 +157,7 @@ def cmd_verify_all(args) -> int:
     jobs = [(args.n, s.image, args.lp, args.strict_families) for s in sigmas]
     workers = min(args.workers, len(jobs))
     if workers > 1:
+        import multiprocessing  # ~13 ms to import, so only when pooling
         with multiprocessing.Pool(workers) as pool:
             reports = pool.map(_verify_worker, jobs)
     else:

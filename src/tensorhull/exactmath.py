@@ -2,14 +2,16 @@
 
 Scalars are exact rationals, `int` or `fractions.Fraction`: arbitrary
 precision, always in canonical form (reduced, positive denominator).  Nothing
-in this module ever touches floating point.  The rank works on the integer
-rows left after clearing denominators.  Rows of the form v (e_a - e_b) are
-contracted first: they join columns into classes, and their rank is the
-number of columns joined.  Fraction-free (Bareiss) elimination on the other
-rows, with each column summed into its class, gives the rest of the rank
-exactly.  LP feasibility is a revised simplex on sparse rows (SparseMatrix),
-keeping the basis inverse as sparse rows at positive scales; its witnesses
-and Farkas vectors are re-checked over the same rows, in ints.
+in this module ever touches floating point.  The rank and LP feasibility
+both take sparse rows (SparseMatrix); dense RatMatrix holds the matrices
+that are read, built and printed.  The rank works on the integer rows left
+after clearing denominators.  Rows of the form v (e_a - e_b) are contracted
+first: they join columns into classes, and their rank is the number of
+columns joined.  Fraction-free (Bareiss) elimination on the other rows, with
+each column summed into its class, gives the rest of the rank exactly.  LP
+feasibility is a revised simplex that keeps the basis inverse as sparse rows
+at positive scales; its witnesses and Farkas vectors are re-checked over the
+same rows, in ints.
 """
 
 from dataclasses import dataclass
@@ -80,11 +82,6 @@ class RatMatrix:
         data = [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
         return RatMatrix(self.cols, self.rows, data)
 
-    def column_submatrix(self, cols) -> "RatMatrix":
-        cols = list(cols)
-        data = [[row[c] for c in cols] for row in self.data]
-        return RatMatrix(self.rows, len(cols), data)
-
     def matvec(self, x):
         if len(x) != self.cols:
             raise ValueError("vector length does not match column count")
@@ -103,7 +100,10 @@ class SparseMatrix:
 
 
 def parse_matrix(text: str) -> RatMatrix:
-    """Parse the text format: first line 'rows cols', then one row per line."""
+    """Parse the text format: first line 'rows cols', then one row per line.
+
+    Entries are read by Fraction(entry); an integral one is kept as an int.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty matrix text")
@@ -121,9 +121,10 @@ def parse_matrix(text: str) -> RatMatrix:
         row = []
         for e in entries:
             try:
-                row.append(Fraction(e))
+                v = Fraction(e)
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in entry {e!r}") from None
+            row.append(v.numerator if v.denominator == 1 else v)
         data.append(row)
     return RatMatrix(rows, cols, data)
 
@@ -135,11 +136,11 @@ def format_matrix(m: RatMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def rat_rank(m: RatMatrix) -> int:
+def rat_rank(m: SparseMatrix) -> int:
     """Exact rank over the rationals.
 
-    Each row is scaled by the lcm of its denominators into a sparse integer
-    row; scaling rows by nonzero integers keeps the rank.  Rows v (e_a - e_b)
+    Each row is scaled by the lcm of its denominators into an integer row;
+    scaling rows by nonzero integers keeps the rank.  Rows v (e_a - e_b)
     say x_a = x_b on the kernel; they join the columns into k classes and
     have rank cols - k.  Their kernel is the vectors constant on each class,
     x = P z with P the cols x k class indicator, so the rank of all rows is
@@ -149,23 +150,14 @@ def rat_rank(m: RatMatrix) -> int:
     """
     if m.rows == 0 or m.cols == 0:
         return 0
-    _, k, contracted = _contract_equalities(_sparse_integer_rows(m), m.cols)
+    rows = [{c: v for c, v in zip(row, clear_denominators(row.values())[1])
+             if v} for row in m.data]
+    _, k, contracted = _contract_equalities(rows, m.cols)
     return m.cols - k + _bareiss_rank(contracted, k)
 
 
-def _sparse_integer_rows(m: RatMatrix):
-    """Each row as {col: integer} with its denominators cleared."""
-    out = []
-    for row in m.data:
-        cols, values = _nonzeros(row)
-        _, ints = clear_denominators(values)
-        out.append(dict(zip(cols, ints)))
-    return out
-
-
 def _nonzeros(row):
-    """(columns, values) of the nonzero entries of a dense row; zeros have
-    denominator 1, so the values alone have the lcm of the whole row."""
+    """(columns, values) of the nonzero entries of a dense vector."""
     cols = list(compress(range(len(row)), row))
     return cols, list(map(row.__getitem__, cols))
 
@@ -235,19 +227,6 @@ def _bareiss_rank(sparse_rows, ncols) -> int:
         if r == nrows:
             break
     return r
-
-
-def columns_independent(m: RatMatrix, cols) -> bool:
-    """True iff the selected columns of m are linearly independent."""
-    cols = list(cols)
-    if len(set(cols)) != len(cols):
-        raise ValueError("duplicate column indices")
-    for c in cols:
-        if not 0 <= c < m.cols:
-            raise ValueError(f"column index out of range: {c}")
-    if not cols:
-        return True
-    return rat_rank(m.column_submatrix(cols)) == len(cols)
 
 
 @dataclass

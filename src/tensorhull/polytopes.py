@@ -61,7 +61,8 @@ class ConstraintSystem:
     """Equality system C x = d with nonnegativity implicit, rows labeled.
 
     Rows are stored sparsely as {flat variable index: integer coefficient}
-    and d holds ints; a column_submatrix holds the same ints.
+    and d holds ints; a column_submatrix holds the same ints, as a
+    SparseMatrix.
     """
 
     n: int
@@ -77,18 +78,14 @@ class ConstraintSystem:
     def ncols(self) -> int:
         return self.n ** 4
 
-    def column_submatrix(self, cols) -> RatMatrix:
-        cols = list(cols)
+    def column_submatrix(self, cols) -> SparseMatrix:
+        """The rows restricted to cols, column cols[j] renumbered j."""
         pos = {c: j for j, c in enumerate(cols)}
-        data = []
-        for row in self.rows:
-            dense = [0] * len(cols)
-            for c, v in row.items():
-                j = pos.get(c)
-                if j is not None:
-                    dense[j] = v
-            data.append(dense)
-        return RatMatrix(self.nrows, len(cols), data)
+        if len(pos) != len(cols):
+            raise ValueError("duplicate column indices")
+        data = [{pos[c]: v for c, v in row.items() if c in pos}
+                for row in self.rows]
+        return SparseMatrix(self.nrows, len(pos), data)
 
 
 @lru_cache(maxsize=None)
@@ -232,10 +229,7 @@ def is_vertex_of_phi(c: RatMatrix, sys: ConstraintSystem) -> bool:
 def phi_support_rank(c: RatMatrix, sys: ConstraintSystem) -> tuple[int, int]:
     """(rank of the support columns of the constraint matrix, support size)."""
     supp = support_columns(c)
-    if len(set(supp)) != len(supp):
-        raise AssertionError("support indices must be unique")
-    sub = sys.column_submatrix(supp)
-    return rat_rank(sub), len(supp)
+    return rat_rank(sys.column_submatrix(supp)), len(supp)
 
 
 def induced_marginals(c: RatMatrix, n: int,
@@ -346,7 +340,8 @@ def membership_system(c: RatMatrix, n: int, pairs) -> tuple[SparseMatrix, list]:
 
     The coefficients are ones, held sparsely; d holds the entries of c and 1.
     """
-    return _grouped_system(*_scaled_rhs(c), n, pairs, _canonical_groups(n))
+    supports = [kron_support(p, q) for p, q in pairs]
+    return _grouped_system(*_scaled_rhs(c), n, supports, _canonical_groups(n))
 
 
 def weights_reconstruct(weights: dict, n: int) -> RatMatrix:
@@ -394,25 +389,26 @@ def _scaled_rhs(c: RatMatrix):
     return mult, [*cs, mult]
 
 
-def _grouped_system(mult: int, rhs, n: int, pairs, groups):
+def _grouped_system(mult: int, rhs, n: int, supports, groups):
     """The LP data whose row r is the sum of the canonical rows in groups[r].
 
-    Column (p, q) of row r counts the members of groups[r] in
-    kron_support(p, q) + [n^4], and only nonzero counts are stored:
-    holders[v] lists the columns with a one in canonical row v, which is
-    row r when groups[r] = (v,).  d_r sums the canonical rhs over the group,
-    from its scaled ints rhs (see _scaled_rhs) and their factor mult.
+    supports[j] is kron_support(p, q) of the j-th pair (p, q).  Column j of
+    row r counts the members of groups[r] in supports[j] + [n^4], and only
+    nonzero counts are stored: holders[v] lists the columns with a one in
+    canonical row v, which is row r when groups[r] = (v,).  d_r sums the
+    canonical rhs over the group, from its scaled ints rhs (see _scaled_rhs)
+    and their factor mult.
     """
     holders = [[] for _ in range(n ** 4)]
-    for j, (p, q) in enumerate(pairs):
-        for v in kron_support(p, q):
+    for j, support in enumerate(supports):
+        for v in support:
             holders[v].append(j)
-    holders.append(range(len(pairs)))  # the sum-to-1 row
+    holders.append(range(len(supports)))  # the sum-to-1 row
     data = [dict.fromkeys(holders[group[0]], 1) if len(group) == 1 else
             Counter(chain.from_iterable(map(holders.__getitem__, group)))
             for group in groups]
     d = [Fraction(sum(rhs[v] for v in group), mult) for group in groups]
-    return SparseMatrix(len(groups), len(pairs), data), d
+    return SparseMatrix(len(groups), len(supports), data), d
 
 
 def _lift_farkas(y, groups, n: int):
@@ -425,8 +421,9 @@ def _lift_farkas(y, groups, n: int):
     return out
 
 
-def _verify_psi_farkas(rhs, n: int, pairs, y) -> bool:
-    """check_farkas against the canonical system, via column supports.
+def _verify_psi_farkas(rhs, n: int, supports, y) -> bool:
+    """check_farkas against the canonical system, via the column supports
+    (supports[j] = kron_support(p, q) of the j-th pair).
 
     rhs is the canonical rhs scaled to ints (see _scaled_rhs) and y is
     scaled to ints by the lcm of its denominators; both factors are
@@ -434,8 +431,8 @@ def _verify_psi_farkas(rhs, n: int, pairs, y) -> bool:
     """
     n4 = n ** 4
     _, ys = clear_denominators(y)
-    for p, q in pairs:
-        if ys[n4] + sum(map(ys.__getitem__, kron_support(p, q))) < 0:
+    for support in supports:
+        if ys[n4] + sum(map(ys.__getitem__, support)) < 0:
             return False
     return sum(map(mul, rhs, ys)) < 0
 
@@ -487,11 +484,12 @@ def psi_contains(c: RatMatrix, n: int, mode: str = SUPPORT_FILTERED,
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
+    supports = [kron_support(p, q) for p, q in pairs]
     for groups in (_reduced_groups(n), _canonical_groups(n)):
-        outcome = lp_feasible(*_grouped_system(mult, rhs, n, pairs, groups))
+        outcome = lp_feasible(*_grouped_system(mult, rhs, n, supports, groups))
         if not outcome.feasible:
             y = _lift_farkas(outcome.farkas, groups, n)
-            if not _verify_psi_farkas(rhs, n, pairs, y):
+            if not _verify_psi_farkas(rhs, n, supports, y):
                 raise AssertionError("lifted certificate failed verification")
             return MembershipResult(False, mode, pairs, farkas=y,
                                     admissible_count=admissible_count)

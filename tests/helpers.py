@@ -36,11 +36,14 @@ def printed_transfer_matrix() -> RatMatrix:
     return RatMatrix(16, 16, data)
 
 
-def plain_rank(m: RatMatrix) -> int:
+def plain_rank(m: RatMatrix | SparseMatrix) -> int:
     """Rank by textbook rational Gaussian elimination (pivot, scale, clear).
 
-    Entries are copied as Fractions: on int entries `1 / v` is a float.
+    A SparseMatrix is written out dense first.  Entries are copied as
+    Fractions: on int entries `1 / v` is a float.
     """
+    if isinstance(m, SparseMatrix):
+        m = dense(m)
     data = [[Fraction(v) for v in row] for row in m.data]
     nrows, ncols = m.rows, m.cols
     rank = 0
@@ -360,6 +363,22 @@ def dense(m: SparseMatrix) -> RatMatrix:
         for j, v in row.items():
             out[j] = v
     return RatMatrix(m.rows, m.cols, data)
+
+
+def dense_column_submatrix(sys, cols) -> RatMatrix:
+    """The constraint rows of sys restricted to cols, written out dense:
+    column j of the result holds the coefficients of variable cols[j]."""
+    cols = list(cols)
+    pos = {c: j for j, c in enumerate(cols)}
+    data = []
+    for row in sys.rows:
+        dense_row = [0] * len(cols)
+        for c, v in row.items():
+            j = pos.get(c)
+            if j is not None:
+                dense_row[j] = v
+        data.append(dense_row)
+    return RatMatrix(sys.nrows, len(cols), data)
 
 
 def dense_grouped_system(mult: int, rhs, n: int, pairs, groups):

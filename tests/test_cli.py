@@ -239,6 +239,8 @@ def test_lp_above_the_size_cap_fails_fast(monkeypatch, capsys, tmp_path,
 
 def test_verify_all_pool_never_exceeds_the_jobs(monkeypatch, capsys):
     # The fake pool maps in this process: no worker is ever started.
+    import multiprocessing
+
     from tensorhull import cli
 
     sizes = []
@@ -256,7 +258,8 @@ def test_verify_all_pool_never_exceeds_the_jobs(monkeypatch, capsys):
         def map(self, fn, jobs):
             return [fn(job) for job in jobs]
 
-    monkeypatch.setattr(cli.multiprocessing, "Pool", FakePool)
+    # cli imports multiprocessing only when it pools, so patch the module
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     strip = lambda text: [{k: v for k, v in r.items() if k != "timings"}
                           for r in json.loads(text)]
     outputs = []

@@ -11,13 +11,12 @@ from tensorhull.exactmath import (
     RatMatrix,
     SparseMatrix,
     check_farkas,
-    columns_independent,
     format_matrix,
     lp_feasible,
     parse_matrix,
     rat_rank,
 )
-from tensorhull.exactmath import _contract_equalities, _sparse_integer_rows
+from tensorhull.exactmath import _contract_equalities
 from helpers import (
     brute_lp_feasible,
     dense_check_farkas,
@@ -29,17 +28,19 @@ from helpers import (
 
 
 def test_rank_identity():
-    assert rat_rank(RatMatrix.identity(3)) == 3
+    assert rat_rank(sparse(RatMatrix.identity(3))) == 3
 
 
 def test_rank_proportional_rows():
     m = RatMatrix.from_rows([[1, 2], [2, 4]])
-    assert rat_rank(m) == 1
+    assert rat_rank(sparse(m)) == 1
 
 
 def test_rank_empty():
-    assert rat_rank(RatMatrix(0, 0, [])) == 0
-    assert rat_rank(RatMatrix.zeros(3, 2)) == 0
+    assert rat_rank(sparse(RatMatrix(0, 0, []))) == 0
+    assert rat_rank(sparse(RatMatrix.zeros(3, 2))) == 0
+    # stored zeros are not entries: {0: 0, 1: 0} must not join columns 0, 1
+    assert rat_rank(SparseMatrix(2, 2, [{0: 0, 1: 0}, {0: 1}])) == 1
 
 
 def test_rank_matches_plain_elimination():
@@ -48,10 +49,10 @@ def test_rank_matches_plain_elimination():
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
         m = random_rational_matrix(rng, rows, cols)
-        assert rat_rank(m) == plain_rank(m)
+        assert rat_rank(sparse(m)) == plain_rank(m)
     # int entries past float precision: the oracle must stay exact on them
     big = RatMatrix(2, 2, [[1, 2**60], [1, 2**60 + 1]])
-    assert rat_rank(big) == plain_rank(big) == 2
+    assert rat_rank(sparse(big)) == plain_rank(big) == 2
 
 
 def _product(a, b):
@@ -72,7 +73,7 @@ def test_rank_of_low_rank_products_matches_plain_elimination(max_den):
                        random_rational_matrix(rng, inner, cols, max_den=max_den))
         for m in (random_rational_matrix(rng, rows, cols, max_den=max_den), low):
             expected = plain_rank(m)
-            assert rat_rank(m) == expected
+            assert rat_rank(sparse(m)) == expected
 
 
 @pytest.mark.parametrize("rows, rank", [
@@ -84,7 +85,7 @@ def test_rank_of_low_rank_products_matches_plain_elimination(max_den):
 ])
 def test_rank_falls_back_to_bareiss_when_undecided(rows, rank):
     m = RatMatrix.from_rows(rows)
-    assert rat_rank(m) == plain_rank(m) == rank
+    assert rat_rank(sparse(m)) == plain_rank(m) == rank
 
 
 def _planted_equalities(rng, cols):
@@ -130,12 +131,12 @@ def test_rank_with_planted_equality_rows_matches_plain_elimination():
     rng = random.Random(23)
     for _ in range(120):
         m = _planted_equalities(rng, rng.randint(2, 9))
-        _, k, _ = _contract_equalities(_sparse_integer_rows(m), m.cols)
+        _, k, _ = _contract_equalities(sparse(m).data, m.cols)
         assert k < m.cols
-        assert rat_rank(m) == plain_rank(m)
+        assert rat_rank(sparse(m)) == plain_rank(m)
     # the last row cancels within the one class: its columns must be summed
     m = RatMatrix.from_rows([[1, -1, 0], [0, 1, -1], [1, 1, -2]])
-    assert rat_rank(m) == plain_rank(m) == 2
+    assert rat_rank(sparse(m)) == plain_rank(m) == 2
 
 
 @pytest.mark.parametrize("rows, classes, kept", [
@@ -145,7 +146,7 @@ def test_rank_with_planted_equality_rows_matches_plain_elimination():
 ])
 def test_contraction_joins_only_equality_rows(rows, classes, kept):
     cls, k, others = _contract_equalities(
-        _sparse_integer_rows(RatMatrix.from_rows(rows)), len(rows[0]))
+        sparse(RatMatrix.from_rows(rows)).data, len(rows[0]))
     assert cls == classes
     assert k == max(classes) + 1
     assert len(others) == kept
@@ -169,7 +170,7 @@ def test_rank_transpose_invariant():
     rng = random.Random(8)
     for _ in range(40):
         m = random_rational_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        assert rat_rank(m) == rat_rank(m.transpose())
+        assert rat_rank(sparse(m)) == rat_rank(sparse(m.transpose()))
 
 
 def test_rank_row_scaling_and_permutation_invariant():
@@ -184,29 +185,8 @@ def test_rank_row_scaling_and_permutation_invariant():
             for j in range(len(row)):
                 row[j] *= f
         rng.shuffle(scaled)
-        assert rat_rank(m) == rat_rank(RatMatrix(m.rows, m.cols, scaled))
-
-
-def test_columns_independent_basic():
-    ident = RatMatrix.identity(3)
-    assert columns_independent(ident, [0, 1])
-    dep = RatMatrix.from_rows([[1, 2], [2, 4]])
-    assert not columns_independent(dep, [0, 1])
-
-
-def test_columns_independent_duplicate_error():
-    with pytest.raises(ValueError):
-        columns_independent(RatMatrix.identity(3), [0, 0])
-
-
-def test_columns_independent_matches_rank():
-    rng = random.Random(10)
-    for _ in range(30):
-        m = random_rational_matrix(rng, rng.randint(2, 5), rng.randint(2, 6))
-        k = rng.randint(1, m.cols)
-        cols = rng.sample(range(m.cols), k)
-        expected = rat_rank(m.column_submatrix(cols)) == k
-        assert columns_independent(m, cols) == expected
+        assert rat_rank(sparse(m)) == rat_rank(
+            sparse(RatMatrix(m.rows, m.cols, scaled)))
 
 
 def test_lp_trivial_feasible():
@@ -385,6 +365,22 @@ def test_matrix_text_parse_errors():
         parse_matrix("1\n1")
     with pytest.raises(ValueError, match="1/0"):
         parse_matrix("1 1\n1/0")
+
+
+@pytest.mark.parametrize("entry", ["0", "-0", "+3", "6/3", "3/4", "1.5",
+                                   "3.0", "1e2", "x", "1/0"])
+def test_parse_matrix_entry_is_fraction_of_its_text(entry):
+    # the value and the accepted spellings are Fraction(entry)'s; an
+    # integral value is held as an int
+    try:
+        want = Fraction(entry)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError, match=entry):
+            parse_matrix(f"1 1\n{entry}")
+        return
+    (value,), = parse_matrix(f"1 1\n{entry}").data
+    assert value == want
+    assert type(value) is (int if want.denominator == 1 else Fraction)
 
 
 def test_scalars_keep_ints_and_reject_floats():

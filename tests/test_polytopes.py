@@ -10,8 +10,8 @@ import pytest
 from tensorhull.counterexample import build_T
 from tensorhull.exactmath import (
     RatMatrix,
+    SparseMatrix,
     check_farkas,
-    columns_independent,
     lp_feasible,
     rat_rank,
 )
@@ -45,6 +45,7 @@ from helpers import (
     brute_admissible_pairs,
     convex_combination,
     dense,
+    dense_column_submatrix,
     dense_grouped_system,
     plain_residuals,
     random_doubly_stochastic,
@@ -56,6 +57,11 @@ from helpers import (
 
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def supports(pairs):
+    """The Kronecker supports _grouped_system takes, one per pair."""
+    return [kron_support(p, q) for p, q in pairs]
 
 
 def uniform_matrix(n: int) -> RatMatrix:
@@ -215,19 +221,27 @@ def test_vertex_uniform_false():
     assert not is_vertex_of_phi(uniform_matrix(2), sys2)
 
 
+# The 4x4 identity with its first column repeated: row 0 sums to 2.
+NOT_IN_PHI_2 = RatMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 0],
+                                    [0, 0, 0, 1], [0, 0, 0, 0]])
+
+
 def test_vertex_requires_membership():
     sys2 = build_phi_constraints(2)
     with pytest.raises(ValueError):
-        is_vertex_of_phi(RatMatrix.identity(4).column_submatrix([0, 0, 1, 2]),
-                         sys2)
+        is_vertex_of_phi(NOT_IN_PHI_2, sys2)
 
 
 def test_vertex_via_public_columns_independent():
-    # same verdict through the dense public route
-    sys4 = build_phi_constraints(4)
-    t = build_T(4, parse_permutation("(3 4)", 4))
-    dense = sys4.column_submatrix(range(sys4.ncols))
-    assert columns_independent(dense, support_columns(t))
+    # same verdict through the package exports: the support columns of the
+    # constraint matrix are independent
+    import tensorhull
+
+    sys4 = tensorhull.build_phi_constraints(4)
+    t = tensorhull.build_T(4, tensorhull.parse_permutation("(3 4)", 4))
+    supp = support_columns(t)
+    assert tensorhull.rat_rank(sys4.column_submatrix(supp)) == len(supp)
+    assert not hasattr(tensorhull, "columns_independent")
 
 
 def test_support_rank_derived_case():
@@ -317,7 +331,7 @@ def test_induced_marginals_doubly_stochastic():
 
 def test_induced_marginals_requires_membership():
     with pytest.raises(ValueError):
-        induced_marginals(RatMatrix.identity(4).column_submatrix([0, 0, 1, 2]), 2)
+        induced_marginals(NOT_IN_PHI_2, 2)
 
 
 def test_psi_contains_kron_itself():
@@ -461,7 +475,7 @@ def test_psi_modes_agree():
     # The perturbed inputs satisfy every reduced row: the verdict above came
     # from the canonical system.
     for n, m in zip((3, 4), perturbed):
-        reduced = _grouped_system(*_scaled_rhs(m), n, all_pairs(n),
+        reduced = _grouped_system(*_scaled_rhs(m), n, supports(all_pairs(n)),
                                   _reduced_groups(n))
         assert lp_feasible(*reduced).feasible
 
@@ -470,11 +484,11 @@ def test_psi_modes_agree():
 def test_reduced_rows_span_the_canonical_system(n):
     pairs = all_pairs(n)
     c = vertex_mix(random.Random(90 + n), n, 2)
-    reduced, d_reduced = _grouped_system(*_scaled_rhs(c), n, pairs,
+    reduced, d_reduced = _grouped_system(*_scaled_rhs(c), n, supports(pairs),
                                           _reduced_groups(n))
     canon, d_canon = membership_system(c, n, pairs)
-    reduced, canon = dense(reduced), dense(canon)
     assert rat_rank(reduced) == rat_rank(canon) == ((n - 1) ** 2 + 1) ** 2
+    reduced, canon = dense(reduced), dense(canon)
     # The canonical columns are the flattened vertices with a 1 appended.
     for column, (p, q) in zip(zip(*canon.data), pairs):
         assert list(column) == [v for row in kron(p, q).data for v in row] + [1]
@@ -499,9 +513,9 @@ def test_grouped_system_matches_dense_oracle(n):
     assert min(len(pairs) for _, pairs in cases) < len(cases[0][1])
     for c, pairs in cases:
         for groups in (_reduced_groups(n), _canonical_groups(n)):
-            args = (*_scaled_rhs(c), n, pairs, groups)
-            got, d = _grouped_system(*args)
-            want, d_want = dense_grouped_system(*args)
+            args = (*_scaled_rhs(c), n)
+            got, d = _grouped_system(*args, supports(pairs), groups)
+            want, d_want = dense_grouped_system(*args, pairs, groups)
             assert (got.rows, got.cols) == (want.rows, want.cols)
             assert got.data == [{j: v for j, v in enumerate(row) if v}
                                 for row in want.data]
@@ -523,8 +537,8 @@ def test_psi_lp_pivots_match_reference_tableau():
                 pair_sets.append(all_pairs(n))
             for pairs in pair_sets:
                 for groups in (_reduced_groups(n), _canonical_groups(n)):
-                    systems.append(
-                        _grouped_system(*_scaled_rhs(c), n, pairs, groups))
+                    systems.append(_grouped_system(
+                        *_scaled_rhs(c), n, supports(pairs), groups))
     seen = set()
     for c, d in systems:
         res = lp_feasible(c, d)
@@ -732,16 +746,16 @@ def test_family_readings_define_the_same_affine_space(n, rank):
     # the augmented rows [C | d] of either reading add no rank to the other's,
     # so both have the same solutions and every membership verdict agrees
     def augmented(sys):
-        dense = sys.column_submatrix(range(sys.ncols))
-        return [row + [rhs] for row, rhs in zip(dense.data, sys.d)]
+        return [{**row, sys.ncols: rhs} if rhs else row
+                for row, rhs in zip(sys.rows, sys.d)]
 
     default = augmented(build_phi_constraints(n))
     strict = augmented(build_phi_constraints(n, strict_families=True))
     cols = n ** 4 + 1
-    assert rat_rank(RatMatrix(len(default), cols, default)) == rank
-    assert rat_rank(RatMatrix(len(strict), cols, strict)) == rank
+    assert rat_rank(SparseMatrix(len(default), cols, default)) == rank
+    assert rat_rank(SparseMatrix(len(strict), cols, strict)) == rank
     both = default + strict
-    assert rat_rank(RatMatrix(len(both), cols, both)) == rank
+    assert rat_rank(SparseMatrix(len(both), cols, both)) == rank
 
 
 def test_implied_equality_rows():
@@ -766,19 +780,42 @@ def test_implied_equality_rows():
                     row[ti.var(i, 1, j, l)] = row.get(ti.var(i, 1, j, l), 0) - 1
                 extra.append({c: v for c, v in row.items() if v})
         base = sys.column_submatrix(range(sys.ncols))
-        zero = Fraction(0)
-        dense_extra = [[zero] * sys.ncols for _ in extra]
-        for r, row in enumerate(extra):
-            for c, v in row.items():
-                dense_extra[r][c] = Fraction(v)
-        combined = RatMatrix(base.rows + len(extra), sys.ncols,
-                             [list(r) for r in base.data] + dense_extra)
+        combined = SparseMatrix(base.rows + len(extra), sys.ncols,
+                                base.data + extra)
         assert rat_rank(combined) == rat_rank(base)
 
 
 def test_dense_matrix_matches_sparse_rows():
     sys2 = build_phi_constraints(2)
-    dense = sys2.column_submatrix(range(sys2.ncols))
+    full = dense(sys2.column_submatrix(range(sys2.ncols)))
     for r, row in enumerate(sys2.rows):
         for c in range(sys2.ncols):
-            assert dense.data[r][c] == row.get(c, 0)
+            assert full.data[r][c] == row.get(c, 0)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_column_submatrix_matches_dense_oracle(n, strict):
+    # the sparse rows restricted to T's support, column cols[j] renumbered
+    # j, are the dense oracle's rows with the zeros left out; so are those
+    # of an unsorted column list and of the empty one
+    sys = build_phi_constraints(n, strict)
+    supp = support_columns(build_T(n, random_permutation(
+        random.Random(70 + n), n)))
+    shuffled = random.Random(n).sample(range(sys.ncols), 3 * n)
+    assert shuffled != sorted(shuffled)
+    for cols in (supp, shuffled, []):
+        sub = sys.column_submatrix(cols)
+        assert dense(sub) == dense_column_submatrix(sys, cols)
+        assert all(0 not in row.values() for row in sub.data)
+
+
+def test_column_submatrix_refuses_duplicate_columns():
+    with pytest.raises(ValueError, match="duplicate"):
+        build_phi_constraints(2).column_submatrix([0, 1, 0])
+
+
+def test_support_rank_n12():
+    # 16,640-row Phi at n = 12 restricted to T's 1,728 support cells
+    t = build_T(12, parse_permutation("(3 4)", 12))
+    assert phi_support_rank(t, build_phi_constraints(12)) == (1728, 1728)
