@@ -39,7 +39,6 @@ from .polytopes import (
     admissible_pairs,
     build_phi_constraints,
     induced_marginals,
-    is_vertex_of_phi,
     kron,
     phi_contains,
     phi_support_rank,

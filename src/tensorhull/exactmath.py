@@ -103,6 +103,7 @@ def parse_matrix(text: str) -> RatMatrix:
     """Parse the text format: first line 'rows cols', then one row per line.
 
     Entries are read by Fraction(entry); an integral one is kept as an int.
+    The entry "0", most cells of a transfer matrix, is read as 0 directly.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -120,6 +121,9 @@ def parse_matrix(text: str) -> RatMatrix:
             raise ValueError(f"expected {cols} entries per row, got {len(entries)}")
         row = []
         for e in entries:
+            if e == "0":
+                row.append(0)
+                continue
             try:
                 v = Fraction(e)
             except ZeroDivisionError:

@@ -217,15 +217,6 @@ def support_columns(c: RatMatrix):
             for rf in range(c.rows) for cf in range(c.cols) if c.data[rf][cf]]
 
 
-def is_vertex_of_phi(c: RatMatrix, sys: ConstraintSystem) -> bool:
-    """Basic-feasible-point test: member + support columns independent."""
-    check = phi_contains(c, sys)
-    if not check.ok:
-        raise ValueError("matrix is not in Phi; vertexhood undefined")
-    rank, size = phi_support_rank(c, sys)
-    return rank == size
-
-
 def phi_support_rank(c: RatMatrix, sys: ConstraintSystem) -> tuple[int, int]:
     """(rank of the support columns of the constraint matrix, support size)."""
     supp = support_columns(c)

@@ -2,12 +2,19 @@
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
+from math import factorial
+from operator import mul
 from pathlib import Path
 
 import pytest
 
-from tensorhull.counterexample import build_T
+from tensorhull.counterexample import (
+    _orbit_system,
+    build_T,
+    orbit_psi_contains,
+)
 from tensorhull.exactmath import (
     RatMatrix,
     SparseMatrix,
@@ -27,7 +34,6 @@ from tensorhull.polytopes import (
     all_pairs,
     build_phi_constraints,
     induced_marginals,
-    is_vertex_of_phi,
     kron,
     kron_support,
     membership_system,
@@ -45,6 +51,7 @@ from helpers import (
     brute_admissible_pairs,
     convex_combination,
     dense,
+    dense_check_farkas,
     dense_column_submatrix,
     dense_grouped_system,
     plain_residuals,
@@ -199,7 +206,7 @@ def test_phi_contains_shape_error():
 def test_vertex_transfer_matrix():
     sys4 = build_phi_constraints(4)
     t = build_T(4, parse_permutation("(3 4)", 4))
-    assert is_vertex_of_phi(t, sys4)
+    assert phi_contains(t, sys4)
     rank, size = phi_support_rank(t, sys4)
     assert (rank, size) == (64, 64)
 
@@ -211,14 +218,16 @@ def test_vertex_kron_points():
         for _ in range(5):
             p, q = random_permutation(rng, n), random_permutation(rng, n)
             m = kron(p, q)
-            assert is_vertex_of_phi(m, sys)
+            assert phi_contains(m, sys)
             rank, size = phi_support_rank(m, sys)
             assert (rank, size) == (n * n, n * n)
 
 
 def test_vertex_uniform_false():
     sys2 = build_phi_constraints(2)
-    assert not is_vertex_of_phi(uniform_matrix(2), sys2)
+    assert phi_contains(uniform_matrix(2), sys2)
+    rank, size = phi_support_rank(uniform_matrix(2), sys2)
+    assert rank < size
 
 
 # The 4x4 identity with its first column repeated: row 0 sums to 2.
@@ -227,9 +236,11 @@ NOT_IN_PHI_2 = RatMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 0],
 
 
 def test_vertex_requires_membership():
-    sys2 = build_phi_constraints(2)
-    with pytest.raises(ValueError):
-        is_vertex_of_phi(NOT_IN_PHI_2, sys2)
+    # vertexhood is undefined off Phi, so the rank is read only after the
+    # membership test, which rejects this matrix on its row sums
+    check = phi_contains(NOT_IN_PHI_2, build_phi_constraints(2))
+    assert not check
+    assert ("rowsum[1,1]", 1) in check.violations
 
 
 def test_vertex_via_public_columns_independent():
@@ -271,8 +282,8 @@ def test_support_rank_n6(phi6, cycles, rank):
     # 792 x 216 support submatrices; the deficient ranks (T is then not a
     # vertex) match the plain_rank cross-check in perfbench/refs/verify_n6.json
     t = build_T(6, parse_permutation(cycles, 6))
+    assert phi_contains(t, phi6)
     assert phi_support_rank(t, phi6) == (rank, 216)
-    assert is_vertex_of_phi(t, phi6) == (rank == 216)
 
 
 def test_support_rank_n6_matches_plain_elimination_refs(phi6):
@@ -406,6 +417,160 @@ def test_psi_full_n5_farkas_matches_golden_bytes():
              "farkas": [str(v) for v in res.farkas]}
     text = json.dumps(entry) + "\n"
     assert text == (GOLDEN / "psi_full_n5_s45.json").read_text()
+
+
+@pytest.mark.parametrize("n, cells, pairs", [(4, 16, 34), (5, 25, 356)])
+def test_orbit_system_sizes(n, cells, pairs):
+    cell_orbit, cell_reps, pair_orbits, system = _orbit_system(n)
+    assert (len(cell_reps), len(pair_orbits)) == (cells, pairs)
+    assert (system.rows, system.cols) == (cells + 1, pairs)
+    # every cell and every pair lies in exactly one orbit
+    sizes = Counter(cell_orbit)
+    assert sorted(sizes) == list(range(cells))
+    assert sum(sizes.values()) == n ** 4
+    assert sorted(j for orbit in pair_orbits for j in orbit) == list(
+        range(factorial(n) ** 2))
+    # the sum-to-1 row holds the orbit sizes
+    assert [system.data[-1][o] for o in range(pairs)] == list(
+        map(len, pair_orbits))
+    assert sum(system.data[-1].values()) == factorial(n) ** 2
+
+
+def test_orbit_system_counts_pairs_at_each_representative():
+    # Coefficient (R, O) is the number of pairs of O with a one at the
+    # representative cell of R, counted here from every pair's support.
+    for n in (3, 4):
+        _, cell_reps, pair_orbits, system = _orbit_system(n)
+        pairs = all_pairs(n)
+        for o, orbit in enumerate(pair_orbits):
+            supports = [set(kron_support(*pairs[j])) for j in orbit]
+            for r, v in enumerate(cell_reps):
+                assert system.data[r].get(o, 0) == sum(
+                    v in support for support in supports)
+
+
+def orbit_cases():
+    """(n, T) for all of S_4, for (4 5) at n = 5, and for the affine
+    x -> 2x - 1 at n = 5, a feasible control."""
+    cases = [(4, build_T(4, sigma)) for sigma in all_permutations(4)]
+    cases.append((5, build_T(5, parse_permutation("(4 5)", 5))))
+    cases.append((5, build_T(5, Permutation((1, 3, 5, 2, 4)))))
+    return cases
+
+
+def spy_full_mode(monkeypatch):
+    """Record every call into psi_contains from the orbit LP's module."""
+    from tensorhull import counterexample
+
+    calls = []
+
+    def spy(c, n, **kwargs):
+        calls.append(kwargs)
+        return psi_contains(c, n, **kwargs)
+
+    monkeypatch.setattr(counterexample, "psi_contains", spy)
+    return calls
+
+
+def test_orbit_psi_matches_full_mode(monkeypatch):
+    # T is fixed by the orbit group, so no case falls back; each verdict
+    # matches the full-mode LP, and each lifted answer holds on the
+    # canonical system over all n!^2 pairs.
+    calls = spy_full_mode(monkeypatch)
+    verdicts = []
+    for n, t in orbit_cases():
+        res = orbit_psi_contains(t, n)
+        full = psi_contains(t, n, mode="full", allow_large=True)
+        assert res.in_psi == full.in_psi
+        assert res.mode == "full" and len(res.pairs) == factorial(n) ** 2
+        if res.in_psi:
+            assert all(w > 0 for w in res.weights.values())
+            assert sum(res.weights.values()) == 1
+            assert weights_reconstruct(res.weights, n) == t
+        else:
+            assert check_farkas(*membership_system(t, n, res.pairs),
+                                res.farkas)
+        verdicts.append(res.in_psi)
+    assert verdicts.count(True) == 9  # 8 of S_4 and the n = 5 control
+    assert calls == []
+
+
+def test_orbit_farkas_lift_satisfies_the_lemma():
+    # For the lifted y, C'y at every pair of orbit O is the orbit LP's
+    # column O times its Farkas vector, divided by |O|, and d'y is the
+    # orbit LP's d'y.
+    for n, t in orbit_cases():
+        res = orbit_psi_contains(t, n)
+        if res.in_psi:
+            continue
+        nn = n * n
+        _, cell_reps, pair_orbits, system = _orbit_system(n)
+        d = [t.data[v // nn][v % nn] for v in cell_reps] + [1]
+        y_orbit = lp_feasible(system, d).farkas
+        y = res.farkas
+        for o, orbit in enumerate(pair_orbits):
+            column = sum(row.get(o, 0) * yr
+                         for row, yr in zip(system.data, y_orbit))
+            for j in orbit:
+                cty = sum(y[v] for v in kron_support(*res.pairs[j])) + y[-1]
+                assert cty == Fraction(column, len(orbit))
+        cells = [v for row in t.data for v in row]
+        assert sum(map(mul, [*cells, 1], y)) == sum(map(mul, d, y_orbit)) < 0
+
+
+def test_orbit_psi_lifted_farkas_passes_dense_oracle():
+    # The dense Fraction oracle sums every column of the 257 x 576
+    # canonical system; the certificates are also those the simplex found
+    # on the orbit LP, not full mode's golden ones.
+    checked = 0
+    for n, t in orbit_cases()[:24]:
+        res = orbit_psi_contains(t, n)
+        if res.in_psi:
+            continue
+        canon, d = dense_grouped_system(*_scaled_rhs(t), n, res.pairs,
+                                        _canonical_groups(n))
+        assert (canon.rows, canon.cols) == (257, 576)
+        assert dense_check_farkas(canon, d, res.farkas)
+        checked += 1
+    assert checked == 16
+
+
+def test_orbit_psi_non_invariant_input_falls_back(monkeypatch):
+    # T for (3 4) with 1/8 moved from a one of T to a zero of T: the matrix
+    # is no longer constant on the cell orbits.
+    t = build_T(4, parse_permutation("(3 4)", 4))
+    data = [list(row) for row in t.data]
+    data[0][0], data[0][1] = data[0][0] - Fraction(1, 8), Fraction(1, 8)
+    assert t.data[0][0] == Fraction(1, 4) and t.data[0][1] == 0
+    c = RatMatrix(16, 16, data)
+    calls = spy_full_mode(monkeypatch)
+    res = orbit_psi_contains(c, 4)
+    assert calls == [{"mode": "full", "allow_large": True}]
+    full = psi_contains(c, 4, mode="full")
+    assert (res.in_psi, res.farkas, res.weights) == (
+        full.in_psi, full.farkas, full.weights)
+
+
+@pytest.mark.parametrize("recheck, sigma", [
+    ("_verify_psi_farkas", "(3 4)"),
+    ("weights_reconstruct", "()"),
+])
+def test_orbit_psi_failed_recheck_falls_back(monkeypatch, recheck, sigma):
+    # The orbit LP's re-check fails; full mode then decides with its own
+    # re-checks, which run the real function.
+    from tensorhull import counterexample
+
+    seen = []
+    t = build_T(4, parse_permutation(sigma, 4))
+    want = psi_contains(t, 4, mode="full")
+    calls = spy_full_mode(monkeypatch)
+    monkeypatch.setattr(counterexample, recheck,
+                        lambda *args: seen.append(recheck))
+    res = orbit_psi_contains(t, 4)
+    assert calls == [{"mode": "full", "allow_large": True}]
+    assert seen == [recheck]
+    assert (res.in_psi, res.farkas, res.weights) == (
+        want.in_psi, want.farkas, want.weights)
 
 
 def vertex_mix(rng, n: int, k: int) -> RatMatrix:
@@ -615,10 +780,17 @@ def test_psi_rejects_bad_input():
         psi_contains(uniform_matrix(5), 5, mode="full")
     with pytest.raises(ValueError):
         psi_contains(uniform_matrix(2), 2, mode="nonsense")
+    # The orbit LP refuses the same inputs; -T is fixed by its group.
+    with pytest.raises(ValueError, match="16 x 16"):
+        orbit_psi_contains(RatMatrix.identity(3), 4)
+    t = build_T(4, parse_permutation("(3 4)", 4))
+    minus_t = RatMatrix(16, 16, [[-v for v in row] for row in t.data])
+    with pytest.raises(ValueError, match="negative entries"):
+        orbit_psi_contains(minus_t, 4)
 
 
 def test_psi_lp_size_cap(monkeypatch):
-    from tensorhull import polytopes
+    from tensorhull import counterexample, polytopes
 
     # The full n = 5 system (626 x 14,400) is the largest LP allowed.
     polytopes.check_lp_size(5, 14400)
@@ -630,8 +802,11 @@ def test_psi_lp_size_cap(monkeypatch):
 
     monkeypatch.setattr(polytopes, "all_pairs", refuse)
     monkeypatch.setattr(polytopes, "_grouped_system", refuse)
+    monkeypatch.setattr(counterexample, "_orbit_system", refuse)
     with pytest.raises(ValueError, match="1297 x 518400"):
         psi_contains(uniform_matrix(6), 6, mode="full", allow_large=True)
+    with pytest.raises(ValueError, match="1297 x 518400"):
+        orbit_psi_contains(build_T(6, parse_permutation("(5 6)", 6)), 6)
     # A support-filtered LP over as many pairs is refused the same way
     # (1297 x 6951 entries is one column over the cap).
     monkeypatch.setattr(polytopes, "admissible_pairs",
