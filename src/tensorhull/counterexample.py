@@ -7,17 +7,16 @@ fills n cells on either side, T carries each circulant cell to the average
 of the matching cells, which is what makes it a member of Phi.  For every
 admissible sigma T lies outside Psi, and for most it is also a vertex of
 Phi; at n = 6, 96 of the 708 admissible sigma leave the support columns
-rank-deficient, and the phi_vertex stage fails on them.  T is fixed by a
-group of order 2n^2, so the psi_lp stage solves the Psi LP over its orbits
-(orbit_psi_contains) and re-checks the lifted answer on the full system.
+rank-deficient, and the phi_vertex stage fails on them.  T[(i,k),(j,l)]
+depends only on (i+k, j+l) mod n, so the psi_lp stage sums the Psi LP over
+those cell classes (orbit_psi_contains) and re-checks its lifted answer.
 """
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, permutations
+from itertools import compress, product
 from math import factorial
 
 from .circulants import build_A, build_B, exists_PQ
@@ -30,12 +29,13 @@ from .polytopes import (
     all_pairs,
     build_phi_constraints,
     check_lp_size,
-    kron_support,
     phi_contains,
     phi_support_rank,
     psi_contains,
     weights_reconstruct,
+    _lift_farkas,
     _scaled_rhs,
+    _support_sums,
     _verify_psi_farkas,
 )
 
@@ -142,132 +142,73 @@ def certify_not_in_psi(t: RatMatrix, n: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _orbit_system(n: int):
-    """The Psi LP over the orbits of the group G of order 2n^2 that fixes
-    every transfer matrix T; it does not depend on sigma and holds ints only.
+def _class_system(n: int):
+    """The Psi LP summed over the n^2 cell classes (i+k, j+l) mod n, on
+    which every T is constant, as (groups, columns, system) of ints:
 
-    G is generated by the row shift ((i,k),(j,l)) -> ((i+1,k-1),(j,l)), the
-    column shift ((i,k),(j,l)) -> ((i,k),(j+1,l-1)) (indices mod n) and the
-    joint transpose ((i,k),(j,l)) -> ((k,i),(l,j)).  It maps kron(p, q) to
-    the Kronecker vertex of (p', q') with p'(i) = p(i-1), q'(k) = q(k+1);
-    p' = p+1, q' = q-1; and p' = q, q' = p.  Pair j is the j-th of
-    all_pairs(n).  Returns (cell_orbit, cell_reps, pair_orbits, system):
-
-    - cell_orbit[v] numbers the orbit of canonical cell v, and cell_reps[r]
-      is the least cell of orbit r;
-    - pair_orbits[o] lists the indices of the pairs in orbit o;
-    - system has one row per cell orbit R and the sum-to-1 row last, and
-      one column per pair orbit O.  Its coefficient in row R is the number
-      of pairs of O with a one at R's representative cell, which is
-      |O| |supp(P) cap R| / |R| for any P in O: G is transitive on R and
-      maps O onto itself, so the |O| |supp(P) cap R| incidences fall evenly
-      on the cells of R.  In the sum-to-1 row it is |O|.
+    - groups[r] lists the canonical rows that row r sums: the cells of
+      class r, and last the sum-to-1 row (n^4,);
+    - columns[j] lists the indices in all_pairs(n) of the pairs with the
+      j-th distinct profile: the int whose digit r in base n^2 + 1 counts
+      the pair's kron_support cells in class r;
+    - system holds those counts, and 1 in the sum-to-1 row.
     """
     nn = n * n
-    rng = range(n)
-
-    def components(size, moves):
-        """The orbits of range(size) under the generators moves(x)."""
-        orbit = [-1] * size
-        members = []
-        for x in range(size):
-            if orbit[x] < 0:
-                orbit[x] = len(members)
-                comp = [x]
-                for y in comp:  # comp grows while it is read
-                    for z in moves(y):
-                        if orbit[z] < 0:
-                            orbit[z] = len(members)
-                            comp.append(z)
-                members.append(comp)
-        return orbit, members
-
-    def cell_moves(v):
-        ik, jl = divmod(v, nn)
-        (i, k), (j, l) = divmod(ik, n), divmod(jl, n)
-        return ((n * ((i + 1) % n) + (k - 1) % n) * nn + jl,
-                ik * nn + n * ((j + 1) % n) + (l - 1) % n,
-                (n * k + i) * nn + n * l + j)
-
-    perms = list(permutations(rng))
-    index = {p: a for a, p in enumerate(perms)}
-    nperm = len(perms)
-    row_p = [index[(p[-1], *p[:-1])] for p in perms]
-    row_q = [index[(*p[1:], p[0])] for p in perms]
-    col_p = [index[tuple((x + 1) % n for x in p)] for p in perms]
-    col_q = [index[tuple((x - 1) % n for x in p)] for p in perms]
-
-    def pair_moves(x):
-        a, b = divmod(x, nperm)
-        return (row_p[a] * nperm + row_q[b], col_p[a] * nperm + col_q[b],
-                b * nperm + a)
-
-    cell_orbit, cells = components(nn * nn, cell_moves)
-    _, pair_orbits = components(nperm * nperm, pair_moves)
-    data = [{} for _ in range(len(cells) + 1)]
-    for o, orbit in enumerate(pair_orbits):
-        p, q = divmod(orbit[0], nperm)
-        p, q = perms[p], perms[q]
-        hits = Counter(cell_orbit[n * (i * nn + p[i]) + k * nn + q[k]]
-                       for i in rng for k in rng)
-        for r, h in hits.items():
-            data[r][o] = len(orbit) * h // len(cells[r])
-        data[-1][o] = len(orbit)
-    system = SparseMatrix(len(data), len(pair_orbits), data)
-    return (tuple(cell_orbit), tuple(comp[0] for comp in cells),
-            tuple(map(tuple, pair_orbits)), system)
+    base = nn + 1
+    # the class of each cell ((i,k),(j,l)), in the order of TensorIndex.var
+    cls = [n * ((i + k) % n) + (j + l) % n
+           for i, k, j, l in product(range(n), repeat=4)]
+    columns = {}
+    profiles = _support_sums(n, all_pairs(n), [base ** r for r in cls])
+    for j, profile in enumerate(profiles):
+        columns.setdefault(profile, []).append(j)
+    data = [{j: h for j, p in enumerate(columns)
+             if (h := p // base ** r % base)} for r in range(nn)]
+    data.append(dict.fromkeys(range(len(columns)), 1))
+    groups = (*(tuple(v for v, rv in enumerate(cls) if rv == r)
+                for r in range(nn)), (nn * nn,))
+    return (groups, tuple(map(tuple, columns.values())),
+            SparseMatrix(base, len(columns), data))
 
 
 def orbit_psi_contains(c: RatMatrix, n: int) -> MembershipResult:
-    """psi_contains(c, n, mode=FULL, allow_large=True) for a c that the
-    group G of _orbit_system fixes, such as every transfer matrix T, solved
-    on the orbit LP (17 x 34 at n = 4, 26 x 356 at n = 5).
+    """psi_contains(c, n, mode=FULL, allow_large=True) for a c constant on
+    each cell class, such as every T, solved on _class_system (17 x 34 at
+    n = 4, 26 x 351 at n = 5).
 
-    Averaging over G (the Reynolds operator) turns any solution or Farkas
-    vector into a G-invariant one, so the orbit LP decides the same
-    question.  Its answers are lifted and re-checked without G:
-
-    - a witness gives each pair of an orbit O the weight of O; the weights
-      must sum to 1 and rebuild c through weights_reconstruct;
-    - a Farkas vector (y_R per cell orbit R, y_0 on the sum-to-1 row) lifts
-      to y_v = y_R / |R| on each cell v of R and y_0 on the sum-to-1 row.
-      Lemma: for such an invariant y, C'y at a pair P of orbit O is
-      sum_R |supp(P) cap R| y_R / |R| + y_0, which is the orbit LP's column
-      O times (y_R, y_0), divided by |O|; so C'y is constant on each pair
-      orbit, and d'y = sum_v c_v y_v + y_0 = sum_R c_R y_R + y_0 is the
-      orbit LP's.  The lift is still re-checked by _verify_psi_farkas
-      against the canonical system over all n!^2 supports.
-
-    If c is not constant on every cell orbit, or a lifted answer fails its
-    re-check, the full-mode psi_contains decides (and refuses a c with a
-    negative entry).  The Psi LP size cap (check_lp_size over all n!^2
-    pairs) applies before anything is built.
+    A Farkas vector lifts to y_v = y_R on each cell v of class R, valid for
+    any c since each row sums its class's canonical rows.  A column's weight
+    is split evenly over its member pairs: the shifts (i,k) -> (i+1,k-1)
+    and (j,l) -> (j+1,l-1) act transitively on each class and map the
+    members onto themselves, so the split is constant on each class.  Both
+    answers are re-checked over all n!^2 pairs.  A c not constant on every
+    class, or a lifted answer that fails its re-check, goes to full-mode
+    psi_contains (which refuses a negative entry).  The size cap
+    (check_lp_size over all n!^2 pairs) applies before anything is built.
     """
     nn = n * n
     if c.rows != nn or c.cols != nn:
         raise ValueError(f"matrix must be {nn} x {nn}")
     check_lp_size(n, factorial(n) ** 2)
     mult, rhs = _scaled_rhs(c)
-    cell_orbit, cell_reps, pair_orbits, system = _orbit_system(n)
-    if min(rhs) >= 0 and all(rhs[v] == rhs[cell_reps[r]]
-                             for v, r in enumerate(cell_orbit)):
-        d = [Fraction(rhs[v], mult) for v in cell_reps] + [1]
+    groups, columns, system = _class_system(n)
+    if min(rhs) >= 0 and all(rhs[v] == rhs[group[0]]
+                             for group in groups for v in group):
+        d = [Fraction(sum(map(rhs.__getitem__, group)), mult)
+             for group in groups]
         outcome = lp_feasible(system, d)
         pairs = all_pairs(n)
         if outcome.feasible:
-            weights = {(pairs[j][0].image, pairs[j][1].image): w
-                       for orbit, w in zip(pair_orbits, outcome.witness)
-                       if w for j in orbit}
+            weights = {(pairs[j][0].image, pairs[j][1].image):
+                       Fraction(w, len(members))
+                       for members, w in zip(columns, outcome.witness)
+                       if w for j in members}
             if (sum(weights.values()) == 1
                     and weights_reconstruct(weights, n) == c):
                 return MembershipResult(True, FULL, pairs, weights=weights)
         else:
-            *y_cells, y_sum = outcome.farkas
-            sizes = Counter(cell_orbit)
-            y_orbit = [Fraction(yr, sizes[r]) for r, yr in enumerate(y_cells)]
-            y = [*map(y_orbit.__getitem__, cell_orbit), y_sum]
-            supports = [kron_support(p, q) for p, q in pairs]
-            if _verify_psi_farkas(rhs, n, supports, y):
+            y = _lift_farkas(outcome.farkas, groups, n)
+            if _verify_psi_farkas(rhs, n, pairs, y):
                 return MembershipResult(False, FULL, pairs, farkas=y)
     return psi_contains(c, n, mode=FULL, allow_large=True)
 
@@ -383,8 +324,8 @@ def full_verification(n: int, sigma: Permutation, run_lp: bool | None = None,
     report.support_certificate = stage(
         "psi_certificate", lambda: certify_not_in_psi(t, n))
     if run_lp:
-        # T is fixed by the symmetry group the orbit LP reduces by; the size
-        # cap was checked above.
+        # T is constant on the cell classes the LP sums over; the size cap
+        # was checked above.
         lp = stage("psi_lp", lambda: orbit_psi_contains(t, n))
         report.lp_status = LP_FEASIBLE if lp.in_psi else LP_INFEASIBLE
         if lp.in_psi == report.support_certificate:

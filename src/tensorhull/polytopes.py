@@ -412,20 +412,39 @@ def _lift_farkas(y, groups, n: int):
     return out
 
 
-def _verify_psi_farkas(rhs, n: int, supports, y) -> bool:
-    """check_farkas against the canonical system, via the column supports
-    (supports[j] = kron_support(p, q) of the j-th pair).
+def _support_sums(n: int, pairs, y):
+    """The sum of y over kron_support(p, q), for each (p, q) of pairs.
+
+    Per p, w[k][l] = sum_i y[(i,k),(p(i),l)] is summed once (l 1-based),
+    and the sum at (p, q) is then sum_k w[k][q(k)]; a run of pairs sharing
+    one p object, as all_pairs and admissible_pairs list them, shares w.
+    """
+    nn = n * n
+    last = None
+    for p, q in pairs:
+        if p is not last:
+            last = p
+            # blocks[i][k] is the slice y[(i,k),(p(i),1..n)]; w[k][0] is unused
+            blocks = [[y[a + k * nn:a + k * nn + n] for k in range(n)]
+                      for a in (n * (i * nn + pi - 1)
+                                for i, pi in enumerate(p.image))]
+            w = [[0, *map(sum, zip(*rows))] for rows in zip(*blocks)]
+        yield sum(map(list.__getitem__, w, q.image))
+
+
+def _verify_psi_farkas(rhs, n: int, pairs, y) -> bool:
+    """check_farkas against the canonical system over the columns of pairs:
+    C'y at (p, q) is y_0 plus y summed over kron_support(p, q), and an
+    empty pair list has no column to check.
 
     rhs is the canonical rhs scaled to ints (see _scaled_rhs) and y is
     scaled to ints by the lcm of its denominators; both factors are
     positive, so every sign is kept.
     """
-    n4 = n ** 4
     _, ys = clear_denominators(y)
-    for support in supports:
-        if ys[n4] + sum(map(ys.__getitem__, support)) < 0:
-            return False
-    return sum(map(mul, rhs, ys)) < 0
+    y0 = ys[n ** 4]
+    return (min(_support_sums(n, pairs, ys), default=-y0) >= -y0
+            and sum(map(mul, rhs, ys)) < 0)
 
 
 def check_lp_size(n: int, cols: int):
@@ -480,7 +499,7 @@ def psi_contains(c: RatMatrix, n: int, mode: str = SUPPORT_FILTERED,
         outcome = lp_feasible(*_grouped_system(mult, rhs, n, supports, groups))
         if not outcome.feasible:
             y = _lift_farkas(outcome.farkas, groups, n)
-            if not _verify_psi_farkas(rhs, n, supports, y):
+            if not _verify_psi_farkas(rhs, n, pairs, y):
                 raise AssertionError("lifted certificate failed verification")
             return MembershipResult(False, mode, pairs, farkas=y,
                                     admissible_count=admissible_count)

@@ -406,3 +406,13 @@ def dense_check_farkas(c: RatMatrix, d, y) -> bool:
                Fraction(0)) for j in range(c.cols)]
     dty = sum((Fraction(di) * yi for di, yi in zip(d, y)), Fraction(0))
     return all(v >= 0 for v in cty) and dty < 0
+
+
+def supports_verify_psi_farkas(rhs, n: int, supports, y) -> bool:
+    """The Psi re-check column by column: y_0 plus y summed over every
+    support (supports[j] = kron_support(p, q) of the j-th pair) is >= 0,
+    and rhs'y < 0, in Fractions."""
+    y = [Fraction(v) for v in y]
+    y0 = y[n ** 4]
+    return (all(y0 + sum(y[v] for v in support) >= 0 for support in supports)
+            and sum(Fraction(r) * v for r, v in zip(rhs, y)) < 0)

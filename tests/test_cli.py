@@ -422,6 +422,27 @@ def test_phi_check_strict_families(tmp_path):
     assert result.returncode == 0
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["verify-all", "--n", "4", "--all-sigmas", "--lp"], 0),
+    (["verify", "--n", "6", "--sigma", "(1 5)(2 6)"], 1),
+    (["verify", "--n", "6", "--sigma", "(5 6)"], 0),
+])
+def test_verify_strict_families_keeps_the_verdict(argv, code, capsys):
+    # Both family readings define the same affine space, so the flag
+    # changes no report; (1 5)(2 6) fails phi_vertex either way.
+    from tensorhull import cli
+
+    def run(*extra):
+        code = cli.main([*argv, "--format", "json", *extra])
+        reports = json.loads(capsys.readouterr().out)
+        for r in reports if isinstance(reports, list) else [reports]:
+            r.pop("timings")
+        return code, reports
+
+    strict = run("--strict-families")
+    assert strict == run() and strict[0] == code
+
+
 # The perturbed mix breaks rows with residuals like -1/6, so these bytes pin
 # how int coefficients and rhs mix with the Fraction entries of the input;
 # the strict reading lists fewer broken rows.

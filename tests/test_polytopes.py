@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 from tensorhull.counterexample import (
-    _orbit_system,
+    _class_system,
     build_T,
+    certify_not_in_psi,
     orbit_psi_contains,
 )
 from tensorhull.exactmath import (
@@ -26,6 +27,7 @@ from tensorhull.permutations import (
     Permutation,
     all_permutations,
     identity,
+    is_counterexample_sigma,
     parse_permutation,
 )
 from tensorhull.polytopes import (
@@ -46,6 +48,7 @@ from tensorhull.polytopes import (
     _grouped_system,
     _reduced_groups,
     _scaled_rhs,
+    _verify_psi_farkas,
 )
 from helpers import (
     brute_admissible_pairs,
@@ -59,6 +62,7 @@ from helpers import (
     random_permutation,
     reference_simplex,
     shift_pair,
+    supports_verify_psi_farkas,
     tensor_product,
 )
 
@@ -419,34 +423,42 @@ def test_psi_full_n5_farkas_matches_golden_bytes():
     assert text == (GOLDEN / "psi_full_n5_s45.json").read_text()
 
 
-@pytest.mark.parametrize("n, cells, pairs", [(4, 16, 34), (5, 25, 356)])
-def test_orbit_system_sizes(n, cells, pairs):
-    cell_orbit, cell_reps, pair_orbits, system = _orbit_system(n)
-    assert (len(cell_reps), len(pair_orbits)) == (cells, pairs)
-    assert (system.rows, system.cols) == (cells + 1, pairs)
-    # every cell and every pair lies in exactly one orbit
-    sizes = Counter(cell_orbit)
-    assert sorted(sizes) == list(range(cells))
-    assert sum(sizes.values()) == n ** 4
-    assert sorted(j for orbit in pair_orbits for j in orbit) == list(
+@pytest.mark.parametrize("n, cells, columns", [(4, 16, 34), (5, 25, 351)])
+def test_class_system_sizes(n, cells, columns):
+    groups, members, system = _class_system(n)
+    assert (len(groups), len(members)) == (cells + 1, columns)
+    assert (system.rows, system.cols) == (cells + 1, columns)
+    # the classes partition the cells, n^2 each; the sum-to-1 row comes last
+    assert groups[-1] == (n ** 4,)
+    assert sorted(v for group in groups[:-1] for v in group) == list(
+        range(n ** 4))
+    assert {len(group) for group in groups[:-1]} == {n * n}
+    for group in groups[:-1]:  # ((i,k),(j,l)) -> (i+k, j+l) mod n
+        assert len({(sum(divmod(v // n ** 2, n)) % n,
+                     sum(divmod(v % n ** 2, n)) % n) for v in group}) == 1
+    # the columns partition all n!^2 pairs, each in all_pairs order
+    assert sorted(j for column in members for j in column) == list(
         range(factorial(n) ** 2))
-    # the sum-to-1 row holds the orbit sizes
-    assert [system.data[-1][o] for o in range(pairs)] == list(
-        map(len, pair_orbits))
-    assert sum(system.data[-1].values()) == factorial(n) ** 2
+    assert all(list(column) == sorted(column) for column in members)
+    assert system.data[-1] == dict.fromkeys(range(columns), 1)
 
 
-def test_orbit_system_counts_pairs_at_each_representative():
-    # Coefficient (R, O) is the number of pairs of O with a one at the
-    # representative cell of R, counted here from every pair's support.
+def test_class_system_counts_every_member():
+    # Every member of column j has, in each class, as many kron_support
+    # cells as column j's coefficient, and no two columns are equal.
     for n in (3, 4):
-        _, cell_reps, pair_orbits, system = _orbit_system(n)
+        groups, members, system = _class_system(n)
+        cls = {v: r for r, group in enumerate(groups[:-1]) for v in group}
         pairs = all_pairs(n)
-        for o, orbit in enumerate(pair_orbits):
-            supports = [set(kron_support(*pairs[j])) for j in orbit]
-            for r, v in enumerate(cell_reps):
-                assert system.data[r].get(o, 0) == sum(
-                    v in support for support in supports)
+        profiles = set()
+        for j, column in enumerate(members):
+            profile = {r: row[j] for r, row in enumerate(system.data[:-1])
+                       if j in row}
+            for m in column:
+                assert Counter(cls[v] for v in kron_support(*pairs[m])) == (
+                    profile)
+            profiles.add(tuple(sorted(profile.items())))
+        assert len(profiles) == len(members)
 
 
 def orbit_cases():
@@ -459,7 +471,7 @@ def orbit_cases():
 
 
 def spy_full_mode(monkeypatch):
-    """Record every call into psi_contains from the orbit LP's module."""
+    """Record every call into psi_contains from the class LP's module."""
     from tensorhull import counterexample
 
     calls = []
@@ -473,7 +485,7 @@ def spy_full_mode(monkeypatch):
 
 
 def test_orbit_psi_matches_full_mode(monkeypatch):
-    # T is fixed by the orbit group, so no case falls back; each verdict
+    # T is constant on the cell classes, so no case falls back; each verdict
     # matches the full-mode LP, and each lifted answer holds on the
     # canonical system over all n!^2 pairs.
     calls = spy_full_mode(monkeypatch)
@@ -495,33 +507,87 @@ def test_orbit_psi_matches_full_mode(monkeypatch):
     assert calls == []
 
 
-def test_orbit_farkas_lift_satisfies_the_lemma():
-    # For the lifted y, C'y at every pair of orbit O is the orbit LP's
-    # column O times its Farkas vector, divided by |O|, and d'y is the
-    # orbit LP's d'y.
+def test_class_farkas_lift_matches_columns():
+    # The lifted y puts y_R on every cell of class R, so C'y at every
+    # member of column j is column j times the class LP's Farkas vector,
+    # with no division, and d'y is the class LP's d'y.
     for n, t in orbit_cases():
         res = orbit_psi_contains(t, n)
         if res.in_psi:
             continue
-        nn = n * n
-        _, cell_reps, pair_orbits, system = _orbit_system(n)
-        d = [t.data[v // nn][v % nn] for v in cell_reps] + [1]
-        y_orbit = lp_feasible(system, d).farkas
+        groups, members, system = _class_system(n)
+        cells = [v for row in t.data for v in row] + [1]
+        d = [sum(cells[v] for v in group) for group in groups]
+        y_class = lp_feasible(system, d).farkas
         y = res.farkas
-        for o, orbit in enumerate(pair_orbits):
-            column = sum(row.get(o, 0) * yr
-                         for row, yr in zip(system.data, y_orbit))
-            for j in orbit:
-                cty = sum(y[v] for v in kron_support(*res.pairs[j])) + y[-1]
-                assert cty == Fraction(column, len(orbit))
-        cells = [v for row in t.data for v in row]
-        assert sum(map(mul, [*cells, 1], y)) == sum(map(mul, d, y_orbit)) < 0
+        for r, group in enumerate(groups):
+            assert {y[v] for v in group} == {y_class[r]}
+        for j, column in enumerate(members):
+            cty = sum(row.get(j, 0) * yr
+                      for row, yr in zip(system.data, y_class))
+            for m in column:
+                assert sum(y[v] for v in kron_support(*res.pairs[m])) + (
+                    y[-1]) == cty
+        assert sum(map(mul, cells, y)) == sum(map(mul, d, y_class)) < 0
+
+
+def test_class_psi_n5_all_sigmas(monkeypatch):
+    # All 120 sigmas of S_5 on the class LP, whose 351 columns merge five
+    # pairs of the 356 pair orbits: each verdict is the support
+    # certificate's, the 20 affine sigmas get a witness that rebuilds T,
+    # and none falls back.
+    calls = spy_full_mode(monkeypatch)
+    feasible = 0
+    for sigma in all_permutations(5):
+        t = build_T(5, sigma)
+        res = orbit_psi_contains(t, 5)
+        assert res.in_psi == (not certify_not_in_psi(t, 5))
+        assert res.in_psi == (not is_counterexample_sigma(sigma))
+        if res.in_psi:
+            assert weights_reconstruct(res.weights, 5) == t
+            feasible += 1
+    assert feasible == 20
+    assert calls == []
+
+
+def test_verify_psi_farkas_matches_support_oracle():
+    # The per-p re-check against the column-by-column oracle, on all pairs,
+    # a support-filtered list and no pairs, for certificates, copies lowered
+    # at a cell of a tight column, and copies whose y_0 makes d'y >= 0.
+    n = 4
+    t = build_T(n, parse_permutation("(3 4)", n))
+    mix = convex_combination(
+        [t, kron(identity(n), identity(n)),
+         kron(Permutation((2, 1, 4, 3)), Permutation((3, 4, 1, 2)))],
+        [Fraction(1, 3)] * 3)
+    filtered = psi_contains(mix, n)
+    assert not filtered.in_psi and len(filtered.pairs) == 2
+    lists = [all_pairs(n), filtered.pairs, []]
+    seen = Counter()
+    for c, res in ((t, orbit_psi_contains(t, n)), (mix, filtered)):
+        rhs = _scaled_rhs(c)[1]
+        y = res.farkas
+        tight = [support for support in map(kron_support, *zip(*res.pairs))
+                 if y[-1] + sum(y[v] for v in support) == 0]
+        assert tight
+        variants = [y, [*y[:-1], y[-1] + 100]]
+        for support in tight[:3]:
+            low = list(y)
+            low[support[-1]] -= Fraction(1, 1000)
+            variants.append(low)
+        for pairs in lists:
+            supports = [kron_support(p, q) for p, q in pairs]
+            for v in variants:
+                got = _verify_psi_farkas(rhs, n, pairs, v)
+                assert got == supports_verify_psi_farkas(rhs, n, supports, v)
+                seen[got] += 1
+    assert seen[True] and seen[False]
 
 
 def test_orbit_psi_lifted_farkas_passes_dense_oracle():
     # The dense Fraction oracle sums every column of the 257 x 576
     # canonical system; the certificates are also those the simplex found
-    # on the orbit LP, not full mode's golden ones.
+    # on the class LP, not full mode's golden ones.
     checked = 0
     for n, t in orbit_cases()[:24]:
         res = orbit_psi_contains(t, n)
@@ -537,7 +603,7 @@ def test_orbit_psi_lifted_farkas_passes_dense_oracle():
 
 def test_orbit_psi_non_invariant_input_falls_back(monkeypatch):
     # T for (3 4) with 1/8 moved from a one of T to a zero of T: the matrix
-    # is no longer constant on the cell orbits.
+    # is no longer constant on the cell classes.
     t = build_T(4, parse_permutation("(3 4)", 4))
     data = [list(row) for row in t.data]
     data[0][0], data[0][1] = data[0][0] - Fraction(1, 8), Fraction(1, 8)
@@ -556,7 +622,7 @@ def test_orbit_psi_non_invariant_input_falls_back(monkeypatch):
     ("weights_reconstruct", "()"),
 ])
 def test_orbit_psi_failed_recheck_falls_back(monkeypatch, recheck, sigma):
-    # The orbit LP's re-check fails; full mode then decides with its own
+    # The class LP's re-check fails; full mode then decides with its own
     # re-checks, which run the real function.
     from tensorhull import counterexample
 
@@ -780,7 +846,7 @@ def test_psi_rejects_bad_input():
         psi_contains(uniform_matrix(5), 5, mode="full")
     with pytest.raises(ValueError):
         psi_contains(uniform_matrix(2), 2, mode="nonsense")
-    # The orbit LP refuses the same inputs; -T is fixed by its group.
+    # The class LP refuses the same inputs; -T is constant on the classes.
     with pytest.raises(ValueError, match="16 x 16"):
         orbit_psi_contains(RatMatrix.identity(3), 4)
     t = build_T(4, parse_permutation("(3 4)", 4))
@@ -802,7 +868,7 @@ def test_psi_lp_size_cap(monkeypatch):
 
     monkeypatch.setattr(polytopes, "all_pairs", refuse)
     monkeypatch.setattr(polytopes, "_grouped_system", refuse)
-    monkeypatch.setattr(counterexample, "_orbit_system", refuse)
+    monkeypatch.setattr(counterexample, "_class_system", refuse)
     with pytest.raises(ValueError, match="1297 x 518400"):
         psi_contains(uniform_matrix(6), 6, mode="full", allow_large=True)
     with pytest.raises(ValueError, match="1297 x 518400"):
