@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Count the permutations that generate counterexamples.
 
-A sigma qualifies when conjugating the full cycle by it escapes the cyclic
-subgroup; there are exactly n! - n*phi(n) of them, which grows like n!.
+A sigma qualifies when conjugating the full cycle rho by it escapes the
+powers of rho; there are exactly n! - n*phi(n) of them, which grows like n!.
 """
 
 from math import factorial

@@ -21,17 +21,13 @@ from .exactmath import (
 from .permutations import (
     Permutation,
     all_permutations,
-    compose,
-    conjugate,
-    cyclic,
     enumerate_counterexample_sigmas,
     euler_phi,
     identity,
-    inverse,
     is_counterexample_sigma,
     parse_permutation,
 )
-from .circulants import VarMatrix, apply_PQ, build_A, build_B, exists_PQ
+from .circulants import VarMatrix, build_A, build_B, exists_PQ
 from .polytopes import (
     ConstraintSystem,
     MembershipResult,

@@ -2,8 +2,8 @@
 
 A pattern is an n x n grid whose cells hold variable indices from {1..n};
 every row must contain each variable exactly once.  The two patterns of
-interest are the plain circulant (first row x1..xn, each later row the left
-cyclic shift of the one above) and its sigma-relabeled variant whose first
+interest are the plain circulant (first row x1..xn, each later row the one
+above shifted left by one place) and its sigma-relabeled variant whose first
 row is permuted by sigma before shifting.
 """
 
@@ -51,22 +51,12 @@ def build_B(n: int, sigma: Permutation) -> VarMatrix:
         [[sigma.image[(j + l) % n] for l in range(n)] for j in range(n)])
 
 
-def apply_PQ(b: VarMatrix, p: Permutation, q: Permutation) -> VarMatrix:
-    """Row/column permuted pattern: result[i][k] = B[p(i)][q(k)]."""
-    n = b.n
-    if p.n != n or q.n != n:
-        raise ValueError("size mismatch")
-    return VarMatrix(
-        [[b.entry[p.image[i] - 1][q.image[k] - 1] for k in range(n)]
-         for i in range(n)])
-
-
 def exists_PQ(a: VarMatrix, b: VarMatrix):
-    """Search all n!^2 pairs for apply_PQ(b, p, q) == a; None if there is none.
+    """A pair (p, q) with a[i][k] = b[p(i)][q(k)] for all i, k; None if none.
 
     The search anchors on the image of a's first row: for each candidate row
     r of b, the column permutation is forced (rows hold distinct variables),
-    and the remaining row assignment is a multiset match.  Every pair is
+    and the remaining row assignment is a multiset match.  All n!^2 pairs are
     thereby covered; the first hit in ascending r is the lexicographically
     smallest (p, q).
     """
@@ -102,16 +92,3 @@ def format_varmatrix(m: VarMatrix) -> str:
     for row in m.entry:
         lines.append(" ".join(str(v) for v in row))
     return "\n".join(lines) + "\n"
-
-
-def parse_varmatrix(text: str) -> VarMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty pattern text")
-    n = int(lines[0].strip())
-    if len(lines) - 1 != n:
-        raise ValueError(f"expected {n} rows, got {len(lines) - 1}")
-    rows = [[int(tok) for tok in ln.split()] for ln in lines[1:]]
-    if any(len(r) != n for r in rows):
-        raise ValueError("row length mismatch")
-    return VarMatrix(rows)

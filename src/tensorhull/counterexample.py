@@ -144,11 +144,12 @@ def certify_not_in_psi(t: RatMatrix, n: int) -> bool:
 @lru_cache(maxsize=None)
 def _class_system(n: int):
     """The Psi LP summed over the n^2 cell classes (i+k, j+l) mod n, on
-    which every T is constant, as (groups, columns, system) of ints:
+    which every T is constant, as (pairs, groups, columns, system):
 
+    - pairs is all_pairs(n) as a tuple, listed once per n;
     - groups[r] lists the canonical rows that row r sums: the cells of
       class r, and last the sum-to-1 row (n^4,);
-    - columns[j] lists the indices in all_pairs(n) of the pairs with the
+    - columns[j] lists the indices into pairs of the pairs with the
       j-th distinct profile: the int whose digit r in base n^2 + 1 counts
       the pair's kron_support cells in class r;
     - system holds those counts, and 1 in the sum-to-1 row.
@@ -159,7 +160,8 @@ def _class_system(n: int):
     cls = [n * ((i + k) % n) + (j + l) % n
            for i, k, j, l in product(range(n), repeat=4)]
     columns = {}
-    profiles = _support_sums(n, all_pairs(n), [base ** r for r in cls])
+    pairs = tuple(all_pairs(n))
+    profiles = _support_sums(n, pairs, [base ** r for r in cls])
     for j, profile in enumerate(profiles):
         columns.setdefault(profile, []).append(j)
     data = [{j: h for j, p in enumerate(columns)
@@ -167,7 +169,7 @@ def _class_system(n: int):
     data.append(dict.fromkeys(range(len(columns)), 1))
     groups = (*(tuple(v for v, rv in enumerate(cls) if rv == r)
                 for r in range(nn)), (nn * nn,))
-    return (groups, tuple(map(tuple, columns.values())),
+    return (pairs, groups, tuple(map(tuple, columns.values())),
             SparseMatrix(base, len(columns), data))
 
 
@@ -191,13 +193,13 @@ def orbit_psi_contains(c: RatMatrix, n: int) -> MembershipResult:
         raise ValueError(f"matrix must be {nn} x {nn}")
     check_lp_size(n, factorial(n) ** 2)
     mult, rhs = _scaled_rhs(c)
-    groups, columns, system = _class_system(n)
+    pairs, groups, columns, system = _class_system(n)
+    pairs = list(pairs)  # each result owns its list; the table stays as is
     if min(rhs) >= 0 and all(rhs[v] == rhs[group[0]]
                              for group in groups for v in group):
         d = [Fraction(sum(map(rhs.__getitem__, group)), mult)
              for group in groups]
         outcome = lp_feasible(system, d)
-        pairs = all_pairs(n)
         if outcome.feasible:
             weights = {(pairs[j][0].image, pairs[j][1].image):
                        Fraction(w, len(members))

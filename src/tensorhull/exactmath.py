@@ -9,7 +9,7 @@ after clearing denominators.  Rows of the form v (e_a - e_b) are contracted
 first: they join columns into classes, and their rank is the number of
 columns joined.  Fraction-free (Bareiss) elimination on the other rows, with
 each column summed into its class, gives the rest of the rank exactly.  LP
-feasibility is a revised simplex that keeps the basis inverse as sparse rows
+feasibility is a revised simplex that keeps B^-1 of the basis B as sparse rows
 at positive scales; its witnesses and Farkas vectors are re-checked over the
 same rows, in ints.
 """
@@ -63,10 +63,6 @@ class RatMatrix:
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
         return cls(rows, cols, [[0] * cols for _ in range(rows)])
 
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls(n, n, [[int(i == j) for j in range(n)] for i in range(n)])
-
     def __eq__(self, other):
         return (
             isinstance(other, RatMatrix)
@@ -77,10 +73,6 @@ class RatMatrix:
 
     def __repr__(self):
         return f"RatMatrix({self.rows}x{self.cols})"
-
-    def transpose(self) -> "RatMatrix":
-        data = [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        return RatMatrix(self.cols, self.rows, data)
 
     def matvec(self, x):
         if len(x) != self.cols:

@@ -1,4 +1,4 @@
-"""Permutations of {1..n}, the cyclic shift, and the admissible-sigma filter.
+"""Permutations of {1..n} and the admissible-sigma filter.
 
 A permutation sigma is called *admissible* here when conjugating the full
 cycle rho = (1 2 ... n) by sigma lands outside the subgroup generated by
@@ -77,38 +77,13 @@ def identity(n: int) -> Permutation:
     return Permutation(range(1, n + 1))
 
 
-def cyclic(n: int) -> Permutation:
-    """The full cycle rho = (1 2 ... n), i.e. rho(i) = i+1 and rho(n) = 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return Permutation(list(range(2, n + 1)) + [1])
-
-
-def compose(a: Permutation, b: Permutation) -> Permutation:
-    """compose(a, b)(i) = a(b(i))."""
-    if a.n != b.n:
-        raise ValueError("size mismatch")
-    return Permutation(a.image[v - 1] for v in b.image)
-
-
-def inverse(a: Permutation) -> Permutation:
-    img = [0] * a.n
-    for i, v in enumerate(a.image, 1):
-        img[v - 1] = i
-    return Permutation(img)
-
-
-def conjugate(s: Permutation, r: Permutation) -> Permutation:
-    """s r s^-1."""
-    return compose(compose(s, r), inverse(s))
-
-
 def is_counterexample_sigma(sigma: Permutation) -> bool:
     """True iff sigma rho sigma^-1 is not a power of rho.
 
     sigma rho sigma^-1 maps sigma(x) to sigma(x+1), so it is rho^i iff every
-    cyclic step sigma(x+1) - sigma(x) is i mod n; those sigma are the n*phi(n)
-    affine maps of Z_n, and every other sigma takes more than one step.
+    step sigma(x+1) - sigma(x), with x + 1 taken mod n, is i mod n; those
+    sigma are the n*phi(n) affine maps of Z_n, and every other sigma takes
+    more than one step.
     """
     img = sigma.image
     n = len(img)

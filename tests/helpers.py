@@ -120,6 +120,13 @@ def brute_exists_PQ(a_entry, b_entry):
     return None
 
 
+def is_factorization(a, b, p: Permutation, q: Permutation) -> bool:
+    """a[i][k] = b[p(i)][q(k)] in every cell of the patterns a and b."""
+    n = a.n
+    return all(a.entry[i - 1][k - 1] == b.entry[p(i) - 1][q(k) - 1]
+               for i in range(1, n + 1) for k in range(1, n + 1))
+
+
 def brute_admissible_pairs(c: RatMatrix, n: int):
     """Every (p, q) with kron(p, q) inside supp(c): a scan of all n!^2 pairs,
     in lexicographic order of (p image, q image)."""
@@ -401,8 +408,8 @@ def dense_grouped_system(mult: int, rhs, n: int, pairs, groups):
 
 def dense_check_farkas(c: RatMatrix, d, y) -> bool:
     """C'y >= 0 in every column and d'y < 0, summed column by column over
-    every entry of the dense rows, in Fractions."""
-    cty = [sum((Fraction(row[j]) * yi for row, yi in zip(c.data, y)),
+    every nonzero entry of the dense rows, in Fractions."""
+    cty = [sum((Fraction(row[j]) * yi for row, yi in zip(c.data, y) if row[j]),
                Fraction(0)) for j in range(c.cols)]
     dty = sum((Fraction(di) * yi for di, yi in zip(d, y)), Fraction(0))
     return all(v >= 0 for v in cty) and dty < 0

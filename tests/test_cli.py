@@ -115,6 +115,18 @@ def test_verify_flagship_exit_zero_and_golden_report(tmp_path):
     assert report == golden
 
 
+def test_verify_all_n4_all_sigmas_lp_matches_golden():
+    # every report of the whole pipeline over S_4, the LP stage included
+    result = run_cli("verify-all", "--n", "4", "--all-sigmas", "--lp",
+                     "--format", "json")
+    assert result.returncode == 0
+    reports = json.loads(result.stdout)
+    for report in reports:
+        report.pop("timings")
+    golden = (GOLDEN / "verify_all_n4_all_sigmas_lp.json").read_text()
+    assert reports == json.loads(golden)
+
+
 def test_verify_identity_fails_at_admissibility():
     result = run_cli("verify", "--n", "4", "--sigma", "identity",
                      "--format", "json")
@@ -300,11 +312,12 @@ def test_verify_all_workers_deterministic():
 
 def test_psi_oracle_kron_in(tmp_path):
     from tensorhull.exactmath import format_matrix
-    from tensorhull.permutations import cyclic, inverse
+    from tensorhull.permutations import Permutation
     from tensorhull.polytopes import kron
 
     path = tmp_path / "kron.txt"
-    path.write_text(format_matrix(kron(cyclic(4), inverse(cyclic(4)))))
+    rho, rho_inverse = Permutation((2, 3, 4, 1)), Permutation((4, 1, 2, 3))
+    path.write_text(format_matrix(kron(rho, rho_inverse)))
     result = run_cli("psi-oracle", str(path), "--n", "4", "--format", "json")
     assert result.returncode == 0
     verdict = json.loads(result.stdout)

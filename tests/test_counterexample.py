@@ -18,8 +18,8 @@ from tensorhull.counterexample import (
 )
 from tensorhull.exactmath import RatMatrix
 from tensorhull.permutations import (
+    Permutation,
     all_permutations,
-    cyclic,
     enumerate_counterexample_sigmas,
     identity,
     parse_permutation,
@@ -296,7 +296,7 @@ def test_stage_errors_carry_stage_label(monkeypatch):
 
 
 def test_report_dict_shape():
-    report = full_verification(2, cyclic(2), run_lp=True)
+    report = full_verification(2, Permutation((2, 1)), run_lp=True)
     d = report.to_dict()
     assert d["n"] == 2
     assert d["sigma"]["image"] == [2, 1]

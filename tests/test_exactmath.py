@@ -28,7 +28,8 @@ from helpers import (
 
 
 def test_rank_identity():
-    assert rat_rank(sparse(RatMatrix.identity(3))) == 3
+    eye = RatMatrix(3, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert rat_rank(sparse(eye)) == 3
 
 
 def test_rank_proportional_rows():
@@ -163,14 +164,15 @@ def test_matvec_matches_plain_double_loop():
                     for row in m.data]
         assert m.matvec(x) == expected
     with pytest.raises(ValueError):
-        RatMatrix.identity(2).matvec([1])
+        RatMatrix(2, 2, [[1, 0], [0, 1]]).matvec([1])
 
 
 def test_rank_transpose_invariant():
     rng = random.Random(8)
     for _ in range(40):
         m = random_rational_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        assert rat_rank(sparse(m)) == rat_rank(sparse(m.transpose()))
+        mt = RatMatrix(m.cols, m.rows, [list(col) for col in zip(*m.data)])
+        assert rat_rank(sparse(m)) == rat_rank(sparse(mt))
 
 
 def test_rank_row_scaling_and_permutation_invariant():

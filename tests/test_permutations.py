@@ -8,61 +8,19 @@ import pytest
 from tensorhull.permutations import (
     Permutation,
     all_permutations,
-    compose,
-    conjugate,
-    cyclic,
     enumerate_counterexample_sigmas,
     euler_phi,
     identity,
-    inverse,
     is_counterexample_sigma,
     parse_permutation,
 )
 from helpers import brute_is_admissible, random_permutation
 
 
-def test_cyclic_examples():
-    assert cyclic(4).image == (2, 3, 4, 1)
-    assert cyclic(1).image == (1,)
-    assert cyclic(2).image == (2, 1)
-    with pytest.raises(ValueError):
-        cyclic(0)
-
-
-def test_compose_convention():
-    a = Permutation((2, 1, 3))
-    b = Permutation((3, 2, 1))
-    # compose(a, b)(i) = a(b(i))
-    assert compose(a, b).image == (3, 1, 2)
-
-
-def test_conjugate_examples():
-    rho = cyclic(4)
-    assert conjugate(identity(4), rho) == rho
-    swap34 = parse_permutation("(3 4)", 4)
-    # relabeling the 4-cycle by (3 4) gives (1 2 4 3), image (2,4,1,3)
-    assert conjugate(swap34, rho).image == (2, 4, 1, 3)
-    assert conjugate(swap34, rho) == parse_permutation("(1 2 4 3)", 4)
-
-
-def test_compose_inverse_is_identity():
-    rng = random.Random(21)
-    for _ in range(30):
-        n = rng.randint(1, 8)
-        a = random_permutation(rng, n)
-        assert compose(a, inverse(a)) == identity(n)
-        assert compose(inverse(a), a) == identity(n)
-
-
-def test_size_mismatch_errors():
-    with pytest.raises(ValueError):
-        compose(identity(3), identity(4))
-
-
 def test_is_counterexample_sigma_examples():
     assert is_counterexample_sigma(parse_permutation("(3 4)", 4))
     assert not is_counterexample_sigma(identity(4))
-    assert not is_counterexample_sigma(cyclic(4))
+    assert not is_counterexample_sigma(Permutation((2, 3, 4, 1)))
 
 
 def test_enumeration_counts_match_formula():
@@ -91,7 +49,9 @@ def test_enumeration_matches_brute_oracle():
         affine = [Permutation(((i * x + b) % n) + 1 for x in range(n))
                   for i in range(n) if gcd(i, n) == 1 for b in range(n)]
         assert len(affine) == n * euler_phi(n)
-        swapped = [compose(parse_permutation("(1 2)", n), a) for a in affine]
+        # (1 2) after a: the values 1 and 2 trade places in a's image
+        swapped = [Permutation({1: 2, 2: 1}.get(v, v) for v in a.image)
+                   for a in affine]
         for sigma in sample + affine + swapped:
             assert is_counterexample_sigma(sigma) == brute_is_admissible(
                 sigma.image)
@@ -106,17 +66,6 @@ def test_enumeration_cap():
         enumerate_counterexample_sigmas(9)
     with pytest.raises(ValueError):
         enumerate_counterexample_sigmas(5, sn_cap=4)
-
-
-def test_conjugate_of_cycle_is_cycle():
-    # sigma rho sigma^-1 is an n-cycle for every sigma, n <= 6
-    for n in range(1, 7):
-        rho = cyclic(n)
-        for sigma in all_permutations(n):
-            conj = conjugate(sigma, rho)
-            # single cycle of length n
-            cycles = conj.cycles()
-            assert len(cycles) == 1 and len(cycles[0]) == n
 
 
 def test_difference_characterization():
@@ -134,8 +83,10 @@ def test_inversion_symmetry():
     # sigma and sigma^-1 are admissible together, n <= 5.
     for n in range(1, 6):
         for sigma in all_permutations(n):
+            # sigma^-1 lists the points in the order of their images
+            inverse = Permutation(sorted(range(1, n + 1), key=sigma))
             assert (is_counterexample_sigma(sigma)
-                    == is_counterexample_sigma(inverse(sigma)))
+                    == is_counterexample_sigma(inverse))
 
 
 def test_euler_phi():
@@ -148,15 +99,15 @@ def test_euler_phi():
 
 
 def test_parse_image_and_cycles():
-    assert parse_permutation("2 3 4 1", 4) == cyclic(4)
-    assert parse_permutation("(1 2 3 4)", 4) == cyclic(4)
+    assert parse_permutation("2 3 4 1", 4) == Permutation((2, 3, 4, 1))
+    assert parse_permutation("(1 2 3 4)", 4) == Permutation((2, 3, 4, 1))
     assert parse_permutation("(3 4)", 4).image == (1, 2, 4, 3)
     assert parse_permutation("(1 2)(3 4)", 4).image == (2, 1, 4, 3)
     assert parse_permutation("identity", 5) == identity(5)
     assert parse_permutation("(1,2)", 3).image == (2, 1, 3)
     assert parse_permutation("(1,2), (3 4)", 4).image == (2, 1, 4, 3)
     assert parse_permutation("(1 2)()(3 4)", 4).image == (2, 1, 4, 3)
-    assert parse_permutation(" (1 2 3 4) ", 4) == cyclic(4)
+    assert parse_permutation(" (1 2 3 4) ", 4) == Permutation((2, 3, 4, 1))
 
 
 def test_parse_errors():

@@ -104,7 +104,8 @@ def test_row_counts():
 
 def test_kron_examples():
     n = 3
-    assert kron(identity(n), identity(n)) == RatMatrix.identity(n * n)
+    assert kron(identity(n), identity(n)) == RatMatrix(
+        9, 9, [[int(i == j) for j in range(9)] for i in range(9)])
     rng = random.Random(41)
     for _ in range(10):
         p, q = random_permutation(rng, n), random_permutation(rng, n)
@@ -204,7 +205,8 @@ def test_phi_contains_matches_plain_residuals(n, strict):
 
 def test_phi_contains_shape_error():
     with pytest.raises(ValueError):
-        phi_contains(RatMatrix.identity(3), build_phi_constraints(2))
+        phi_contains(RatMatrix(3, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                     build_phi_constraints(2))
 
 
 def test_vertex_transfer_matrix():
@@ -425,7 +427,8 @@ def test_psi_full_n5_farkas_matches_golden_bytes():
 
 @pytest.mark.parametrize("n, cells, columns", [(4, 16, 34), (5, 25, 351)])
 def test_class_system_sizes(n, cells, columns):
-    groups, members, system = _class_system(n)
+    pairs, groups, members, system = _class_system(n)
+    assert list(pairs) == all_pairs(n)
     assert (len(groups), len(members)) == (cells + 1, columns)
     assert (system.rows, system.cols) == (cells + 1, columns)
     # the classes partition the cells, n^2 each; the sum-to-1 row comes last
@@ -447,9 +450,8 @@ def test_class_system_counts_every_member():
     # Every member of column j has, in each class, as many kron_support
     # cells as column j's coefficient, and no two columns are equal.
     for n in (3, 4):
-        groups, members, system = _class_system(n)
+        pairs, groups, members, system = _class_system(n)
         cls = {v: r for r, group in enumerate(groups[:-1]) for v in group}
-        pairs = all_pairs(n)
         profiles = set()
         for j, column in enumerate(members):
             profile = {r: row[j] for r, row in enumerate(system.data[:-1])
@@ -494,7 +496,7 @@ def test_orbit_psi_matches_full_mode(monkeypatch):
         res = orbit_psi_contains(t, n)
         full = psi_contains(t, n, mode="full", allow_large=True)
         assert res.in_psi == full.in_psi
-        assert res.mode == "full" and len(res.pairs) == factorial(n) ** 2
+        assert res.mode == "full" and res.pairs == all_pairs(n)
         if res.in_psi:
             assert all(w > 0 for w in res.weights.values())
             assert sum(res.weights.values()) == 1
@@ -507,6 +509,23 @@ def test_orbit_psi_matches_full_mode(monkeypatch):
     assert calls == []
 
 
+def test_class_lp_lists_pairs_once_per_n(monkeypatch):
+    # The class table keeps its pair list, so a later call lists no pairs;
+    # each result still gets all n!^2 pairs in order, as a list of its own.
+    from tensorhull import counterexample
+
+    def refuse(n):
+        raise AssertionError("pairs listed again")
+
+    for n, t in orbit_cases():
+        _class_system(n)
+        monkeypatch.setattr(counterexample, "all_pairs", refuse)
+        first, second = orbit_psi_contains(t, n), orbit_psi_contains(t, n)
+        monkeypatch.undo()
+        assert first.pairs == second.pairs == all_pairs(n)
+        assert first.pairs is not second.pairs
+
+
 def test_class_farkas_lift_matches_columns():
     # The lifted y puts y_R on every cell of class R, so C'y at every
     # member of column j is column j times the class LP's Farkas vector,
@@ -515,7 +534,7 @@ def test_class_farkas_lift_matches_columns():
         res = orbit_psi_contains(t, n)
         if res.in_psi:
             continue
-        groups, members, system = _class_system(n)
+        _, groups, members, system = _class_system(n)
         cells = [v for row in t.data for v in row] + [1]
         d = [sum(cells[v] for v in group) for group in groups]
         y_class = lp_feasible(system, d).farkas
@@ -836,8 +855,9 @@ def test_psi_outside_span_falls_back():
 
 
 def test_psi_rejects_bad_input():
+    eye = RatMatrix(3, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(ValueError):
-        psi_contains(RatMatrix.identity(3), 2)
+        psi_contains(eye, 2)
     neg = RatMatrix.from_rows([[-1, 1, 0, 1], [1, 0, 1, 0],
                                [0, 1, 0, 1], [1, 0, 1, 0]])
     with pytest.raises(ValueError):
@@ -848,7 +868,7 @@ def test_psi_rejects_bad_input():
         psi_contains(uniform_matrix(2), 2, mode="nonsense")
     # The class LP refuses the same inputs; -T is constant on the classes.
     with pytest.raises(ValueError, match="16 x 16"):
-        orbit_psi_contains(RatMatrix.identity(3), 4)
+        orbit_psi_contains(eye, 4)
     t = build_T(4, parse_permutation("(3 4)", 4))
     minus_t = RatMatrix(16, 16, [[-v for v in row] for row in t.data])
     with pytest.raises(ValueError, match="negative entries"):
