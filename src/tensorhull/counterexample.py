@@ -26,13 +26,14 @@ from .polytopes import (
     FULL,
     MembershipResult,
     admissible_pairs,
-    all_pairs,
     build_phi_constraints,
     check_lp_size,
     phi_contains,
     phi_support_rank,
     psi_contains,
     weights_reconstruct,
+    _full_pairs,
+    _grouped_rhs,
     _lift_farkas,
     _scaled_rhs,
     _support_sums,
@@ -146,7 +147,7 @@ def _class_system(n: int):
     """The Psi LP summed over the n^2 cell classes (i+k, j+l) mod n, on
     which every T is constant, as (pairs, groups, columns, system):
 
-    - pairs is all_pairs(n) as a tuple, listed once per n;
+    - pairs is _full_pairs(n), all_pairs(n) as a tuple listed once per n;
     - groups[r] lists the canonical rows that row r sums: the cells of
       class r, and last the sum-to-1 row (n^4,);
     - columns[j] lists the indices into pairs of the pairs with the
@@ -160,7 +161,7 @@ def _class_system(n: int):
     cls = [n * ((i + k) % n) + (j + l) % n
            for i, k, j, l in product(range(n), repeat=4)]
     columns = {}
-    pairs = tuple(all_pairs(n))
+    pairs = _full_pairs(n)
     profiles = _support_sums(n, pairs, [base ** r for r in cls])
     for j, profile in enumerate(profiles):
         columns.setdefault(profile, []).append(j)
@@ -197,9 +198,7 @@ def orbit_psi_contains(c: RatMatrix, n: int) -> MembershipResult:
     pairs = list(pairs)  # each result owns its list; the table stays as is
     if min(rhs) >= 0 and all(rhs[v] == rhs[group[0]]
                              for group in groups for v in group):
-        d = [Fraction(sum(map(rhs.__getitem__, group)), mult)
-             for group in groups]
-        outcome = lp_feasible(system, d)
+        outcome = lp_feasible(system, _grouped_rhs(mult, rhs, groups))
         if outcome.feasible:
             weights = {(pairs[j][0].image, pairs[j][1].image):
                        Fraction(w, len(members))

@@ -77,18 +77,21 @@ class RatMatrix:
     def matvec(self, x):
         if len(x) != self.cols:
             raise ValueError("vector length does not match column count")
-        cols, values = _nonzeros(x)
+        cols = list(compress(range(len(x)), x))
+        values = list(map(x.__getitem__, cols))
         return [sum(map(mul, map(row.__getitem__, cols), values))
                 for row in self.data]
 
 
 class SparseMatrix:
-    """rows x cols, one {column: value} dict per row, zeros absent."""
+    """rows x cols, one {column: value} dict per row, zeros absent.  The
+    first lp_feasible over it keeps _simplex_index on it: rows stay fixed."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_simplex")
 
     def __init__(self, rows: int, cols: int, data):
         self.rows, self.cols, self.data = rows, cols, data
+        self._simplex = None
 
 
 def parse_matrix(text: str) -> RatMatrix:
@@ -150,12 +153,6 @@ def rat_rank(m: SparseMatrix) -> int:
              if v} for row in m.data]
     _, k, contracted = _contract_equalities(rows, m.cols)
     return m.cols - k + _bareiss_rank(contracted, k)
-
-
-def _nonzeros(row):
-    """(columns, values) of the nonzero entries of a dense vector."""
-    cols = list(compress(range(len(row)), row))
-    return cols, list(map(row.__getitem__, cols))
 
 
 def _contract_equalities(rows, ncols):
@@ -291,7 +288,7 @@ def lp_feasible(c_matrix: SparseMatrix, d) -> Feasibility:
     if len(d) != m:
         raise ValueError("d length does not match row count of C")
     d = [as_rational(v) for v in d]
-    status, x_or_y = _phase1_simplex(c_matrix.data, d, nvars)
+    status, x_or_y = _phase1_simplex(_simplex_index(c_matrix), d, nvars)
     if status == FEASIBLE:
         x = x_or_y
         if any(v < 0 for v in x):
@@ -308,11 +305,32 @@ def lp_feasible(c_matrix: SparseMatrix, d) -> Feasibility:
     return Feasibility(INFEASIBLE, farkas=y)
 
 
-def _phase1_simplex(c_rows, d, nvars):
+def _simplex_index(c_matrix: SparseMatrix):
+    """(lcms, rows, cols), the simplex's set-up that reads only C, built once
+    and kept on c_matrix.  rows[i] is row i of C times lcms[i], the lcm of
+    its denominators (an all-int row is its own dict); cols[j] lists the
+    (i, rows[i][j]), one tuple per distinct (i, value), shared by columns.
+    """
+    if c_matrix._simplex is None:
+        lcms, rows, shared = [], [], {}
+        cols = [[] for _ in range(c_matrix.cols)]
+        for i, row in enumerate(c_matrix.data):
+            mult, ints = clear_denominators(row.values())
+            lcms.append(mult)
+            rows.append(row if all(type(v) is int for v in row.values())
+                        else dict(zip(row, ints)))
+            for j, v in rows[-1].items():
+                cols[j].append(shared.setdefault((i, v), (i, v)))
+        c_matrix._simplex = lcms, rows, cols
+    return c_matrix._simplex
+
+
+def _phase1_simplex(index, d, nvars):
     """Phase-1 revised simplex over integer data; returns (status, x or y).
 
-    c_rows are C's sparse {column: value} rows.  Row i of [C | d] is
-    scaled to integers with rhs >= 0, and an artificial column e_i is
+    index is _simplex_index(C).  Row i of [C | d] is scaled to integers
+    with rhs >= 0: its integer row rows[i] times fac[i], the sign of the
+    rhs times lcm(lcms[i], den d_i) / lcms[i].  An artificial column e_i is
     added, so the first basis is the artificials and the tableau is always
     B^-1 [A | I | b].  Only two parts of it are kept:
 
@@ -329,29 +347,23 @@ def _phase1_simplex(c_rows, d, nvars):
     rules read only ratios inside one row and comparisons inside z, so the
     positive scales leave the pivot sequence that of the full tableau.
     """
-    m = len(c_rows)
+    lcms, arows, cols = index
+    m = len(arows)
     if m == 0:
         return FEASIBLE, [0] * nvars
     # Flip signs so rhs >= 0; mults[i] maps certificates back to row i of C.
-    arows, cols, mults, rhs = [], [[] for _ in range(nvars)], [], []
-    for i, (row, di) in enumerate(zip(c_rows, d)):
-        mult, ints = clear_denominators([*row.values(), di])
-        if ints[-1] < 0:
-            mult, ints = -mult, [-v for v in ints]
-        entries = list(zip(row, ints))
-        for j, v in entries:
-            cols[j].append((i, v))
-        arows.append(entries)
-        mults.append(mult)
-        rhs.append(ints[-1])
+    mults = [lcm(a, di.denominator) * (-1 if di < 0 else 1)
+             for a, di in zip(lcms, d)]
+    fac = [mult // a for mult, a in zip(mults, lcms)]
+    rhs = [di.numerator * mult // di.denominator for di, mult in zip(d, mults)]
     binv = [{i: 1, m: b} if b else {i: 1} for i, b in enumerate(rhs)]
     holders = [{i} for i in range(m)]  # holders[k]: rows i with k in binv[i]
     # Phase-1 reduced costs, zc on the structural columns (0 - the column
     # sums) and za on the artificials (1 - 1 = 0) and the rhs (index m).
     zc, za = [0] * nvars, [0] * m + [-sum(rhs)]
-    for entries in arows:
-        for j, v in entries:
-            zc[j] -= v
+    for f, row in zip(fac, arows):
+        for j, v in row.items():
+            zc[j] -= f * v
     zscale = 1
     basis = list(range(nvars, nvars + m))
     while True:
@@ -361,6 +373,7 @@ def _phase1_simplex(c_rows, d, nvars):
         enter = zc.index(best)
         col = {}
         for k, v in cols[enter]:
+            v *= fac[k]
             for i in holders[k]:
                 col[i] = col.get(i, 0) + binv[i][k] * v
         col = {i: a for i, a in col.items() if a}
@@ -417,7 +430,8 @@ def _phase1_simplex(c_rows, d, nvars):
             hv = h * v
             za[k] -= hv  # artificial k, or the rhs when k == m
             if k < m:
-                for j, a in arows[k]:
+                hv *= fac[k]
+                for j, a in arows[k].items():
                     zc[j] -= hv * a
         if f != 1:
             g = gcd(zscale, *zc, *za)
@@ -430,7 +444,8 @@ def _phase1_simplex(c_rows, d, nvars):
         for i, j in enumerate(basis):
             if j < nvars:
                 # Row i holds a true 1 in its basic column: that is its scale.
-                scale = sum(binv[i].get(k, 0) * v for k, v in cols[j])
+                scale = sum(binv[i].get(k, 0) * fac[k] * v
+                            for k, v in cols[j])
                 x[j] = Fraction(binv[i].get(m, 0), scale)
         return FEASIBLE, x
     # Positive phase-1 objective: read the dual off the artificial columns.

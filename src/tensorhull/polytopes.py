@@ -272,6 +272,21 @@ def all_pairs(n: int):
     return [(p, q) for p in perms for q in perms]
 
 
+@lru_cache(maxsize=None)
+def _full_pairs(n: int):
+    """all_pairs(n) as a tuple, listed once per n."""
+    return tuple(all_pairs(n))
+
+
+@lru_cache(maxsize=None)
+def _full_tables(n: int):
+    """The rows of the reduced and the canonical system over _full_pairs(n),
+    built once per n, on the first full-mode query."""
+    supports = [kron_support(p, q) for p, q in _full_pairs(n)]
+    return tuple(_grouped_rows(n, supports, groups)
+                 for groups in (_reduced_groups(n), _canonical_groups(n)))
+
+
 def admissible_pairs(c: RatMatrix, n: int):
     """Every (p, q) whose Kronecker support sits inside the support of c,
     in lexicographic order of (p image, q image).
@@ -330,9 +345,15 @@ def membership_system(c: RatMatrix, n: int, pairs) -> tuple[SparseMatrix, list]:
     """The canonical LP data: one row per entry of c plus the sum-to-1 row.
 
     The coefficients are ones, held sparsely; d holds the entries of c and 1.
+    Exactly the pairs of all_pairs(n), in its order, share the rows of
+    _full_tables(n); any other list gets rows of its own.
     """
-    supports = [kron_support(p, q) for p, q in pairs]
-    return _grouped_system(*_scaled_rhs(c), n, supports, _canonical_groups(n))
+    groups = _canonical_groups(n)
+    if len(pairs) == factorial(n) ** 2 and tuple(pairs) == _full_pairs(n):
+        rows = _full_tables(n)[1]
+    else:
+        rows = _grouped_rows(n, [kron_support(p, q) for p, q in pairs], groups)
+    return rows, _grouped_rhs(*_scaled_rhs(c), groups)
 
 
 def weights_reconstruct(weights: dict, n: int) -> RatMatrix:
@@ -380,15 +401,13 @@ def _scaled_rhs(c: RatMatrix):
     return mult, [*cs, mult]
 
 
-def _grouped_system(mult: int, rhs, n: int, supports, groups):
-    """The LP data whose row r is the sum of the canonical rows in groups[r].
+def _grouped_rows(n: int, supports, groups) -> SparseMatrix:
+    """The LP rows whose row r is the sum of the canonical rows in groups[r].
 
     supports[j] is kron_support(p, q) of the j-th pair (p, q).  Column j of
     row r counts the members of groups[r] in supports[j] + [n^4], and only
     nonzero counts are stored: holders[v] lists the columns with a one in
-    canonical row v, which is row r when groups[r] = (v,).  d_r sums the
-    canonical rhs over the group, from its scaled ints rhs (see _scaled_rhs)
-    and their factor mult.
+    canonical row v, which is row r when groups[r] = (v,).
     """
     holders = [[] for _ in range(n ** 4)]
     for j, support in enumerate(supports):
@@ -398,18 +417,25 @@ def _grouped_system(mult: int, rhs, n: int, supports, groups):
     data = [dict.fromkeys(holders[group[0]], 1) if len(group) == 1 else
             Counter(chain.from_iterable(map(holders.__getitem__, group)))
             for group in groups]
-    d = [Fraction(sum(rhs[v] for v in group), mult) for group in groups]
-    return SparseMatrix(len(groups), len(supports), data), d
+    return SparseMatrix(len(groups), len(supports), data)
+
+
+def _grouped_rhs(mult: int, rhs, groups):
+    """The rhs of _grouped_rows: d_r sums the canonical rhs over groups[r],
+    from its scaled ints rhs (see _scaled_rhs) and their factor mult."""
+    return [Fraction(sum(rhs[v] for v in group), mult) for group in groups]
 
 
 def _lift_farkas(y, groups, n: int):
-    """A certificate over the canonical rows: each y_r added onto its group."""
+    """A certificate over the canonical rows: each y_r added onto its group,
+    in ints at the lcm of y's denominators."""
+    mult, ys = clear_denominators(y)
     out = [0] * (n ** 4 + 1)
-    for yr, group in zip(y, groups):
+    for yr, group in zip(ys, groups):
         if yr:
             for v in group:
                 out[v] += yr
-    return out
+    return [Fraction(v, mult) for v in out]
 
 
 def _support_sums(n: int, pairs, y):
@@ -471,7 +497,8 @@ def psi_contains(c: RatMatrix, n: int, mode: str = SUPPORT_FILTERED,
     canonical rows, so for c in the span of the Kronecker vertices both
     have the same solutions; a reduced witness that does not rebuild c puts
     c outside that span, and the canonical rows decide.  Certificates are
-    lifted to the canonical rows and re-checked.
+    lifted to the canonical rows and re-checked.  Full mode takes both
+    tables' rows from _full_tables, built once per n.
     """
     nn = n * n
     if c.rows != nn or c.cols != nn:
@@ -479,24 +506,27 @@ def psi_contains(c: RatMatrix, n: int, mode: str = SUPPORT_FILTERED,
     mult, rhs = _scaled_rhs(c)
     if any(v < 0 for v in rhs):
         raise ValueError("matrix has negative entries")
+    group_sets = (_reduced_groups(n), _canonical_groups(n))
     if mode == SUPPORT_FILTERED:
         pairs = admissible_pairs(c, n)
         admissible_count = len(pairs)
         check_lp_size(n, admissible_count)
+        supports = [kron_support(p, q) for p, q in pairs]
+        tables = (_grouped_rows(n, supports, g) for g in group_sets)
     elif mode == FULL:
         if n > FULL_MODE_DEFAULT_CAP and not allow_large:
             raise ValueError(
                 f"full mode at n={n} exceeds the default cap "
                 f"{FULL_MODE_DEFAULT_CAP}; pass allow_large=True")
         check_lp_size(n, factorial(n) ** 2)
-        pairs = all_pairs(n)
+        pairs = list(_full_pairs(n))  # each result owns its list
+        tables = _full_tables(n)
         admissible_count = None
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    supports = [kron_support(p, q) for p, q in pairs]
-    for groups in (_reduced_groups(n), _canonical_groups(n)):
-        outcome = lp_feasible(*_grouped_system(mult, rhs, n, supports, groups))
+    for groups, rows in zip(group_sets, tables):
+        outcome = lp_feasible(rows, _grouped_rhs(mult, rhs, groups))
         if not outcome.feasible:
             y = _lift_farkas(outcome.farkas, groups, n)
             if not _verify_psi_farkas(rhs, n, pairs, y):

@@ -236,7 +236,10 @@ def test_lp_above_the_size_cap_fails_fast(monkeypatch, capsys, tmp_path,
         raise AssertionError("ran before the LP size check")
 
     for module, name in ((polytopes, "all_pairs"),
-                         (polytopes, "_grouped_system"),
+                         (polytopes, "_full_pairs"),
+                         (polytopes, "_full_tables"),
+                         (polytopes, "_grouped_rows"),
+                         (counterexample, "_full_pairs"),
                          (counterexample, "is_counterexample_sigma"),
                          (permutations, "enumerate_counterexample_sigmas")):
         monkeypatch.setattr(module, name, refuse)

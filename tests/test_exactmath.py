@@ -326,6 +326,31 @@ def test_lp_status_matches_basis_enumeration():
     assert min(seen.values()) >= 40, seen
 
 
+def test_lp_on_one_matrix_matches_a_fresh_copy():
+    # lp_feasible keeps C's integer rows and column index on the matrix; a
+    # matrix solved for several d must answer each as a fresh copy does,
+    # and as the dense reference tableau does, Fraction rows included.
+    rng = random.Random(2027)
+    seen = set()
+    for trial in range(120):
+        c, d = _degenerate_system(rng, DEGENERATE_KINDS[trial % 6])
+        kept = sparse(c)
+        others = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+                   for _ in d] for _ in range(3)]
+        for rhs in (d, *others, d):
+            res, fresh = lp_feasible(kept, rhs), lp_feasible(sparse(c), rhs)
+            assert (res.status, res.witness, res.farkas) == (
+                fresh.status, fresh.witness, fresh.farkas), (trial, rhs)
+            out = res.witness if res.feasible else res.farkas
+            assert (res.status, out) == reference_simplex(c, rhs), trial
+            seen.add(res.status)
+        # An all-int row is kept as the matrix's own dict.
+        rows = kept._simplex[1]
+        assert all(row is mine for row, mine in zip(rows, kept.data)
+                   if all(type(v) is int for v in mine.values()))
+    assert seen == {FEASIBLE, INFEASIBLE}
+
+
 def test_check_farkas_matches_dense_oracle():
     # The systems of test_lp_status_matches_basis_enumeration: the sparse
     # check must agree with the dense column sums on each Farkas vector (a

@@ -45,7 +45,10 @@ from tensorhull.polytopes import (
     support_columns,
     weights_reconstruct,
     _canonical_groups,
-    _grouped_system,
+    _full_pairs,
+    _full_tables,
+    _grouped_rhs,
+    _grouped_rows,
     _reduced_groups,
     _scaled_rhs,
     _verify_psi_farkas,
@@ -71,8 +74,13 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def supports(pairs):
-    """The Kronecker supports _grouped_system takes, one per pair."""
+    """The Kronecker supports _grouped_rows takes, one per pair."""
     return [kron_support(p, q) for p, q in pairs]
+
+
+def grouped_system(mult, rhs, n, supports, groups):
+    """The grouped LP data (rows, d), as one Psi LP query builds it."""
+    return _grouped_rows(n, supports, groups), _grouped_rhs(mult, rhs, groups)
 
 
 def uniform_matrix(n: int) -> RatMatrix:
@@ -512,14 +520,14 @@ def test_orbit_psi_matches_full_mode(monkeypatch):
 def test_class_lp_lists_pairs_once_per_n(monkeypatch):
     # The class table keeps its pair list, so a later call lists no pairs;
     # each result still gets all n!^2 pairs in order, as a list of its own.
-    from tensorhull import counterexample
+    from tensorhull import polytopes
 
     def refuse(n):
         raise AssertionError("pairs listed again")
 
     for n, t in orbit_cases():
         _class_system(n)
-        monkeypatch.setattr(counterexample, "all_pairs", refuse)
+        monkeypatch.setattr(polytopes, "all_pairs", refuse)
         first, second = orbit_psi_contains(t, n), orbit_psi_contains(t, n)
         monkeypatch.undo()
         assert first.pairs == second.pairs == all_pairs(n)
@@ -725,8 +733,8 @@ def test_psi_modes_agree():
     # The perturbed inputs satisfy every reduced row: the verdict above came
     # from the canonical system.
     for n, m in zip((3, 4), perturbed):
-        reduced = _grouped_system(*_scaled_rhs(m), n, supports(all_pairs(n)),
-                                  _reduced_groups(n))
+        reduced = grouped_system(*_scaled_rhs(m), n, supports(all_pairs(n)),
+                                 _reduced_groups(n))
         assert lp_feasible(*reduced).feasible
 
 
@@ -734,8 +742,8 @@ def test_psi_modes_agree():
 def test_reduced_rows_span_the_canonical_system(n):
     pairs = all_pairs(n)
     c = vertex_mix(random.Random(90 + n), n, 2)
-    reduced, d_reduced = _grouped_system(*_scaled_rhs(c), n, supports(pairs),
-                                          _reduced_groups(n))
+    reduced, d_reduced = grouped_system(*_scaled_rhs(c), n, supports(pairs),
+                                         _reduced_groups(n))
     canon, d_canon = membership_system(c, n, pairs)
     assert rat_rank(reduced) == rat_rank(canon) == ((n - 1) ** 2 + 1) ** 2
     reduced, canon = dense(reduced), dense(canon)
@@ -764,7 +772,7 @@ def test_grouped_system_matches_dense_oracle(n):
     for c, pairs in cases:
         for groups in (_reduced_groups(n), _canonical_groups(n)):
             args = (*_scaled_rhs(c), n)
-            got, d = _grouped_system(*args, supports(pairs), groups)
+            got, d = grouped_system(*args, supports(pairs), groups)
             want, d_want = dense_grouped_system(*args, pairs, groups)
             assert (got.rows, got.cols) == (want.rows, want.cols)
             assert got.data == [{j: v for j, v in enumerate(row) if v}
@@ -787,7 +795,7 @@ def test_psi_lp_pivots_match_reference_tableau():
                 pair_sets.append(all_pairs(n))
             for pairs in pair_sets:
                 for groups in (_reduced_groups(n), _canonical_groups(n)):
-                    systems.append(_grouped_system(
+                    systems.append(grouped_system(
                         *_scaled_rhs(c), n, supports(pairs), groups))
     seen = set()
     for c, d in systems:
@@ -796,6 +804,73 @@ def test_psi_lp_pivots_match_reference_tableau():
         assert (res.status, out) == reference_simplex(dense(c), d)
         seen.add(res.status)
     assert len(seen) == 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_full_tables_match_fresh_rows(n):
+    # The rows kept per n are the rows built afresh over all_pairs(n), for
+    # both tables, and full mode hands each result its own pair list.
+    assert list(_full_pairs(n)) == all_pairs(n)
+    fresh = supports(all_pairs(n))
+    for kept, groups in zip(_full_tables(n),
+                            (_reduced_groups(n), _canonical_groups(n))):
+        want = _grouped_rows(n, fresh, groups)
+        assert (kept.rows, kept.cols, kept.data) == (
+            want.rows, want.cols, want.data)
+    c = vertex_mix(random.Random(40 + n), n, 2)
+    first, second = (psi_contains(c, n, mode="full") for _ in range(2))
+    assert first.pairs == second.pairs == all_pairs(n)
+    assert first.pairs is not second.pairs
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_membership_system_shares_rows_only_for_all_pairs(n):
+    # The full pair list in all_pairs order gets the kept canonical rows;
+    # a reversed, reordered or shortened list gets rows of its own, equal
+    # to the dense oracle's.
+    c = vertex_mix(random.Random(50 + n), n, 2)
+    pairs = all_pairs(n)
+    canon, d = membership_system(c, n, pairs)
+    assert canon is _full_tables(n)[1]
+    swapped = list(pairs)
+    swapped[1], swapped[2] = swapped[2], swapped[1]
+    for other in (pairs[::-1], swapped, pairs[:-1], pairs[1:]):
+        got, d_got = membership_system(c, n, other)
+        assert got is not canon
+        want, d_want = dense_grouped_system(*_scaled_rhs(c), n, other,
+                                            _canonical_groups(n))
+        assert (got.rows, got.cols) == (want.rows, want.cols)
+        assert got.data == [{j: v for j, v in enumerate(row) if v}
+                            for row in want.data]
+        assert d_got == d_want == d
+
+
+def test_kept_psi_tables_answer_each_rhs_afresh():
+    # The kept full-mode tables, each solved for many right-hand sides,
+    # return what the same rows built afresh return, and at n = 3 what the
+    # dense reference tableau returns; at n = 4 the fresh rows meet it in
+    # test_psi_lp_pivots_match_reference_tableau.
+    rng = random.Random(2028)
+    seen = set()
+    for n, count in ((3, 5), (4, 3)):
+        mats = [build_T(n, random_permutation(rng, n)), vertex_mix(rng, n, 2),
+                vertex_mix(rng, n, 3), span_perturbed(rng, n),
+                build_T(n, random_permutation(rng, n))][:count]
+        fresh = supports(all_pairs(n))
+        for kept, groups in zip(_full_tables(n),
+                                (_reduced_groups(n), _canonical_groups(n))):
+            for c in mats:
+                d = _grouped_rhs(*_scaled_rhs(c), groups)
+                res = lp_feasible(kept, d)
+                again = lp_feasible(_grouped_rows(n, fresh, groups), d)
+                assert (res.status, res.witness, res.farkas) == (
+                    again.status, again.witness, again.farkas)
+                out = res.witness if res.feasible else res.farkas
+                if n == 3:
+                    assert (res.status, out) == reference_simplex(
+                        dense(kept), d)
+                seen.add((n, res.status))
+    assert len(seen) == 4
 
 
 def test_psi_matches_direct_canonical_lp():
@@ -886,9 +961,13 @@ def test_psi_lp_size_cap(monkeypatch):
     def refuse(*args):
         raise AssertionError("Psi LP built above the size cap")
 
-    monkeypatch.setattr(polytopes, "all_pairs", refuse)
-    monkeypatch.setattr(polytopes, "_grouped_system", refuse)
-    monkeypatch.setattr(counterexample, "_class_system", refuse)
+    for module, name in ((polytopes, "all_pairs"),
+                         (polytopes, "_full_pairs"),
+                         (polytopes, "_full_tables"),
+                         (polytopes, "_grouped_rows"),
+                         (counterexample, "_full_pairs"),
+                         (counterexample, "_class_system")):
+        monkeypatch.setattr(module, name, refuse)
     with pytest.raises(ValueError, match="1297 x 518400"):
         psi_contains(uniform_matrix(6), 6, mode="full", allow_large=True)
     with pytest.raises(ValueError, match="1297 x 518400"):
