@@ -191,8 +191,7 @@ def _load_square_matrix(path: str, n: int):
 def cmd_psi_oracle(args) -> int:
     m = _load_square_matrix(args.matrix, args.n)
     mode = args.mode.replace("-", "_")
-    result = polytopes.psi_contains(m, args.n, mode=mode,
-                                    allow_large=args.allow_large)
+    result = polytopes.psi_contains(m, args.n, mode=mode)
     # Re-verify before printing: reconstruction for witnesses, farkas check
     # for certificates (psi_contains already did; this guards the printout).
     if result.in_psi:
@@ -332,8 +331,6 @@ def make_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--mode", choices=("support-filtered", "full"),
                    default="support-filtered")
-    p.add_argument("--allow-large", action="store_true",
-                   help="lift the n <= 4 cap on full mode")
     p.set_defaults(fn=cmd_psi_oracle)
 
     p = sub.add_parser("phi-check",

@@ -8,37 +8,22 @@ of the matching cells, which is what makes it a member of Phi.  For every
 admissible sigma T lies outside Psi, and for most it is also a vertex of
 Phi; at n = 6, 96 of the 708 admissible sigma leave the support columns
 rank-deficient, and the phi_vertex stage fails on them.  T[(i,k),(j,l)]
-depends only on (i+k, j+l) mod n, so the psi_lp stage sums the Psi LP over
-those cell classes (orbit_psi_contains) and re-checks its lifted answer.
+depends only on (i+k, j+l) mod n, so the psi_lp stage solves the Psi LP
+summed over those cell classes first (polytopes.class_psi_contains).
 """
 
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from itertools import compress, product
+from itertools import compress
 from math import factorial
 
 from .circulants import build_A, build_B, exists_PQ
-from .exactmath import RatMatrix, SparseMatrix, lp_feasible
+from .exactmath import RatMatrix
 from .permutations import Permutation, is_counterexample_sigma
-from .polytopes import (
-    FULL,
-    MembershipResult,
-    admissible_pairs,
-    build_phi_constraints,
-    check_lp_size,
-    phi_contains,
-    phi_support_rank,
-    psi_contains,
-    weights_reconstruct,
-    _full_pairs,
-    _grouped_rhs,
-    _lift_farkas,
-    _scaled_rhs,
-    _support_sums,
-    _verify_psi_farkas,
-)
+from .polytopes import (admissible_pairs, build_phi_constraints,
+                        check_lp_size, class_psi_contains, phi_contains,
+                        phi_support_rank)
 
 LP_DEFAULT_CAP = 4
 
@@ -140,78 +125,6 @@ def certify_not_in_psi(t: RatMatrix, n: int) -> bool:
     unless T is n^2 x n^2.
     """
     return not admissible_pairs(t, n)
-
-
-@lru_cache(maxsize=None)
-def _class_system(n: int):
-    """The Psi LP summed over the n^2 cell classes (i+k, j+l) mod n, on
-    which every T is constant, as (pairs, groups, columns, system):
-
-    - pairs is _full_pairs(n), all_pairs(n) as a tuple listed once per n;
-    - groups[r] lists the canonical rows that row r sums: the cells of
-      class r, and last the sum-to-1 row (n^4,);
-    - columns[j] lists the indices into pairs of the pairs with the
-      j-th distinct profile: the int whose digit r in base n^2 + 1 counts
-      the pair's kron_support cells in class r;
-    - system holds those counts, and 1 in the sum-to-1 row.
-    """
-    nn = n * n
-    base = nn + 1
-    # the class of each cell ((i,k),(j,l)), in the order of TensorIndex.var
-    cls = [n * ((i + k) % n) + (j + l) % n
-           for i, k, j, l in product(range(n), repeat=4)]
-    columns = {}
-    pairs = _full_pairs(n)
-    profiles = _support_sums(n, pairs, [base ** r for r in cls])
-    for j, profile in enumerate(profiles):
-        columns.setdefault(profile, []).append(j)
-    data = [{j: h for j, p in enumerate(columns)
-             if (h := p // base ** r % base)} for r in range(nn)]
-    data.append(dict.fromkeys(range(len(columns)), 1))
-    groups = (*(tuple(v for v, rv in enumerate(cls) if rv == r)
-                for r in range(nn)), (nn * nn,))
-    return (pairs, groups, tuple(map(tuple, columns.values())),
-            SparseMatrix(base, len(columns), data))
-
-
-def orbit_psi_contains(c: RatMatrix, n: int) -> MembershipResult:
-    """psi_contains(c, n, mode=FULL, allow_large=True) for a c constant on
-    each cell class, such as every T, solved on _class_system (17 x 34 at
-    n = 4, 26 x 351 at n = 5).
-
-    A Farkas vector lifts to y_v = y_R on each cell v of class R, valid for
-    any c since each row sums its class's canonical rows.  A column's weight
-    is split evenly over its member pairs: the shifts (i,k) -> (i+1,k-1)
-    and (j,l) -> (j+1,l-1) act transitively on each class and map the
-    members onto themselves, so the split is constant on each class.  Both
-    answers are re-checked over all n!^2 pairs.  A c not constant on every
-    class, or a lifted answer that fails its re-check, goes to full-mode
-    psi_contains (which refuses a negative entry).  The size cap
-    (check_lp_size over all n!^2 pairs) applies before anything is built.
-    """
-    nn = n * n
-    if c.rows != nn or c.cols != nn:
-        raise ValueError(f"matrix must be {nn} x {nn}")
-    check_lp_size(n, factorial(n) ** 2)
-    mult, rhs = _scaled_rhs(c)
-    pairs, groups, columns, system = _class_system(n)
-    pairs = list(pairs)  # each result owns its list; the table stays as is
-    if min(rhs) >= 0 and all(rhs[v] == rhs[group[0]]
-                             for group in groups for v in group):
-        outcome = lp_feasible(system, _grouped_rhs(mult, rhs, groups))
-        if outcome.feasible:
-            weights = {(pairs[j][0].image, pairs[j][1].image):
-                       Fraction(w, len(members))
-                       for members, w in zip(columns, outcome.witness)
-                       if w for j in members}
-            if (sum(weights.values()) == 1
-                    and weights_reconstruct(weights, n) == c):
-                return MembershipResult(True, FULL, pairs, weights=weights)
-        else:
-            y = _lift_farkas(outcome.farkas, groups, n)
-            if _verify_psi_farkas(rhs, n, pairs, y):
-                return MembershipResult(False, FULL, pairs, farkas=y)
-    return psi_contains(c, n, mode=FULL, allow_large=True)
 
 
 @dataclass
@@ -327,7 +240,7 @@ def full_verification(n: int, sigma: Permutation, run_lp: bool | None = None,
     if run_lp:
         # T is constant on the cell classes the LP sums over; the size cap
         # was checked above.
-        lp = stage("psi_lp", lambda: orbit_psi_contains(t, n))
+        lp = stage("psi_lp", lambda: class_psi_contains(t, n))
         report.lp_status = LP_FEASIBLE if lp.in_psi else LP_INFEASIBLE
         if lp.in_psi == report.support_certificate:
             report.red_flags.append(

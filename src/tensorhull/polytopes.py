@@ -7,7 +7,10 @@ products A (x) B of two n x n doubly stochastic matrices; its extreme points
 are exactly the products P (x) Q of permutation matrices, so membership in
 Psi is a finite, exactly solvable LP over the n!^2 Kronecker vertices.  Its
 canonical rows are the n^4 entry equations and the sum-to-1 row; every LP
-solved here has rows that each sum one group of them.
+solved here has rows that each sum one group of them.  One loop, _decide,
+solves those LPs as rungs of one question: the class LP (for an input
+constant on the cell classes), the reduced rows, then the canonical rows,
+moving on only when an answer fails its re-check on the canonical system.
 
 Indexing is row-major throughout: the matrix cell (i,k), 1-based, flattens
 to n*(i-1)+(k-1), and the entry ((i,k),(j,l)) of an n^2 x n^2 matrix gets
@@ -18,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, product
 from math import factorial
 from operator import mul
 
@@ -28,7 +31,6 @@ from .permutations import Permutation, all_permutations
 
 SUPPORT_FILTERED = "support_filtered"
 FULL = "full"
-FULL_MODE_DEFAULT_CAP = 4
 # Entries of the largest Psi LP solved, the full n = 5 one (626 x 14,400);
 # even as sparse rows, the full n = 6 one would take gigabytes to build.
 LP_SIZE_CAP = (5 ** 4 + 1) * factorial(5) ** 2
@@ -279,12 +281,12 @@ def _full_pairs(n: int):
 
 
 @lru_cache(maxsize=None)
-def _full_tables(n: int):
-    """The rows of the reduced and the canonical system over _full_pairs(n),
-    built once per n, on the first full-mode query."""
-    supports = [kron_support(p, q) for p, q in _full_pairs(n)]
-    return tuple(_grouped_rows(n, supports, groups)
-                 for groups in (_reduced_groups(n), _canonical_groups(n)))
+def _full_rung(n: int, canonical: bool):
+    """The reduced or the canonical rung (see _decide) over _full_pairs(n);
+    its rows are built once per n, by the first query that reaches it."""
+    groups = (_canonical_groups if canonical else _reduced_groups)(n)
+    supports = (kron_support(p, q) for p, q in _full_pairs(n))
+    return groups, _grouped_rows(n, supports, groups), None
 
 
 def admissible_pairs(c: RatMatrix, n: int):
@@ -346,11 +348,11 @@ def membership_system(c: RatMatrix, n: int, pairs) -> tuple[SparseMatrix, list]:
 
     The coefficients are ones, held sparsely; d holds the entries of c and 1.
     Exactly the pairs of all_pairs(n), in its order, share the rows of
-    _full_tables(n); any other list gets rows of its own.
+    the canonical _full_rung(n, True); any other list gets rows of its own.
     """
     groups = _canonical_groups(n)
     if len(pairs) == factorial(n) ** 2 and tuple(pairs) == _full_pairs(n):
-        rows = _full_tables(n)[1]
+        rows = _full_rung(n, True)[1]
     else:
         rows = _grouped_rows(n, [kron_support(p, q) for p, q in pairs], groups)
     return rows, _grouped_rhs(*_scaled_rhs(c), groups)
@@ -404,20 +406,23 @@ def _scaled_rhs(c: RatMatrix):
 def _grouped_rows(n: int, supports, groups) -> SparseMatrix:
     """The LP rows whose row r is the sum of the canonical rows in groups[r].
 
-    supports[j] is kron_support(p, q) of the j-th pair (p, q).  Column j of
-    row r counts the members of groups[r] in supports[j] + [n^4], and only
-    nonzero counts are stored: holders[v] lists the columns with a one in
-    canonical row v, which is row r when groups[r] = (v,).
+    supports yields kron_support(p, q) of the j-th pair (p, q) as its j-th
+    item, and is read once.  Column j of row r counts the members of
+    groups[r] in that support + [n^4], and only nonzero counts are stored:
+    holders[v] lists the columns with a one in canonical row v, which is
+    row r when groups[r] = (v,).
     """
     holders = [[] for _ in range(n ** 4)]
-    for j, support in enumerate(supports):
+    cols = 0
+    for support in supports:
         for v in support:
-            holders[v].append(j)
-    holders.append(range(len(supports)))  # the sum-to-1 row
+            holders[v].append(cols)
+        cols += 1
+    holders.append(range(cols))  # the sum-to-1 row
     data = [dict.fromkeys(holders[group[0]], 1) if len(group) == 1 else
             Counter(chain.from_iterable(map(holders.__getitem__, group)))
             for group in groups]
-    return SparseMatrix(len(groups), len(supports), data)
+    return SparseMatrix(len(groups), cols, data)
 
 
 def _grouped_rhs(mult: int, rhs, groups):
@@ -482,61 +487,131 @@ def check_lp_size(n: int, cols: int):
             f"larger than the full n=5 one (626 x 14400)")
 
 
-def psi_contains(c: RatMatrix, n: int, mode: str = SUPPORT_FILTERED,
-                 allow_large: bool = False) -> MembershipResult:
-    """Decide exactly whether c is a convex combination of Kronecker vertices.
-
-    support_filtered first discards every pair whose Kronecker product has a
-    one where c has a zero (nonnegativity forces their weight to zero), then
-    solves the LP over the surviving columns.  full keeps all n!^2 columns
-    and is capped at n <= 4 unless allow_large is set.  Either mode refuses
-    an LP larger than LP_SIZE_CAP (check_lp_size).  Both modes return
-    verified witnesses or certificates and must agree on every input.
-
-    The LP runs first on the rows of _reduced_groups, which span the
-    canonical rows, so for c in the span of the Kronecker vertices both
-    have the same solutions; a reduced witness that does not rebuild c puts
-    c outside that span, and the canonical rows decide.  Certificates are
-    lifted to the canonical rows and re-checked.  Full mode takes both
-    tables' rows from _full_tables, built once per n.
-    """
+def _checked_rhs(c: RatMatrix, n: int):
+    """_scaled_rhs(c) for an n^2 x n^2 c with no negative entry."""
     nn = n * n
     if c.rows != nn or c.cols != nn:
         raise ValueError(f"matrix must be {nn} x {nn}")
     mult, rhs = _scaled_rhs(c)
     if any(v < 0 for v in rhs):
         raise ValueError("matrix has negative entries")
-    group_sets = (_reduced_groups(n), _canonical_groups(n))
+    return mult, rhs
+
+
+def _decide(c: RatMatrix, n: int, mode: str, pairs, rungs, scaled,
+            admissible_count=None) -> MembershipResult:
+    """The Psi LP over the columns of pairs, solved one rung at a time.
+
+    A rung (groups, rows, members) is an LP whose row r sums the canonical
+    rows in groups[r] and whose column j stands for the pairs members[j]
+    (None: column j is pair j); scaled is _checked_rhs(c, n).  A Farkas
+    vector is lifted to the canonical rows and re-checked over all of
+    pairs.  A witness splits each column's weight evenly over its members,
+    and must sum to 1 and rebuild c.  An answer that fails its re-check
+    passes c to the next rung; past the last, canonical, one it raises.
+    """
+    mult, rhs = scaled
+    for groups, rows, members in rungs:
+        outcome = lp_feasible(rows, _grouped_rhs(mult, rhs, groups))
+        if outcome.feasible:
+            weights = {(pairs[j][0].image, pairs[j][1].image):
+                       Fraction(w, len(m)) for m, w in zip(
+                           members or zip(range(len(pairs))), outcome.witness)
+                       if w for j in m}
+            if (sum(weights.values()) == 1
+                    and weights_reconstruct(weights, n) == c):
+                return MembershipResult(True, mode, pairs, weights=weights,
+                                        admissible_count=admissible_count)
+        else:
+            y = _lift_farkas(outcome.farkas, groups, n)
+            if _verify_psi_farkas(rhs, n, pairs, y):
+                return MembershipResult(False, mode, pairs, farkas=y,
+                                        admissible_count=admissible_count)
+    raise AssertionError("the canonical Psi LP's answer failed its re-check")
+
+
+def psi_contains(c: RatMatrix, n: int,
+                 mode: str = SUPPORT_FILTERED) -> MembershipResult:
+    """Decide exactly whether c is a convex combination of Kronecker vertices.
+
+    support_filtered first discards every pair whose Kronecker product has a
+    one where c has a zero (nonnegativity forces their weight to zero), then
+    solves the LP over the surviving columns; full keeps all n!^2 columns.
+    Either mode refuses an LP larger than LP_SIZE_CAP (check_lp_size), and
+    both must agree on every input.
+
+    The first rung sums the canonical rows over _reduced_groups, which span
+    them, so for c in the span of the Kronecker vertices both have the same
+    solutions; a reduced witness that does not rebuild c puts c outside that
+    span, and the canonical rung decides.  Full mode takes both rungs from
+    _full_rung, built once per n.
+    """
+    scaled = _checked_rhs(c, n)
     if mode == SUPPORT_FILTERED:
         pairs = admissible_pairs(c, n)
-        admissible_count = len(pairs)
-        check_lp_size(n, admissible_count)
+        check_lp_size(n, len(pairs))
         supports = [kron_support(p, q) for p, q in pairs]
-        tables = (_grouped_rows(n, supports, g) for g in group_sets)
-    elif mode == FULL:
-        if n > FULL_MODE_DEFAULT_CAP and not allow_large:
-            raise ValueError(
-                f"full mode at n={n} exceeds the default cap "
-                f"{FULL_MODE_DEFAULT_CAP}; pass allow_large=True")
+        rungs = ((g, _grouped_rows(n, supports, g), None)
+                 for g in (_reduced_groups(n), _canonical_groups(n)))
+        return _decide(c, n, mode, pairs, rungs, scaled, len(pairs))
+    if mode == FULL:
         check_lp_size(n, factorial(n) ** 2)
-        pairs = list(_full_pairs(n))  # each result owns its list
-        tables = _full_tables(n)
-        admissible_count = None
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+        # each result owns its pair list
+        return _decide(c, n, mode, list(_full_pairs(n)),
+                       map(_full_rung, (n, n), (False, True)), scaled)
+    raise ValueError(f"unknown mode {mode!r}")
 
-    for groups, rows in zip(group_sets, tables):
-        outcome = lp_feasible(rows, _grouped_rhs(mult, rhs, groups))
-        if not outcome.feasible:
-            y = _lift_farkas(outcome.farkas, groups, n)
-            if not _verify_psi_farkas(rhs, n, pairs, y):
-                raise AssertionError("lifted certificate failed verification")
-            return MembershipResult(False, mode, pairs, farkas=y,
-                                    admissible_count=admissible_count)
-        weights = {(p.image, q.image): w
-                   for (p, q), w in zip(pairs, outcome.witness) if w}
-        if (sum(weights.values()) == 1
-                and weights_reconstruct(weights, n) == c):
-            return MembershipResult(True, mode, pairs, weights=weights,
-                                    admissible_count=admissible_count)
-    raise AssertionError("canonical witness failed reconstruction")
+
+@lru_cache(maxsize=None)
+def _class_system(n: int):
+    """The Psi LP summed over the n^2 cell classes (i+k, j+l) mod n, on
+    which every transfer matrix is constant, as (pairs, groups, columns,
+    system):
+
+    - pairs is _full_pairs(n), all_pairs(n) as a tuple listed once per n;
+    - groups[r] lists the canonical rows that row r sums: the cells of
+      class r, and last the sum-to-1 row (n^4,);
+    - columns[j] lists the indices into pairs of the pairs with the
+      j-th distinct profile: the int whose digit r in base n^2 + 1 counts
+      the pair's kron_support cells in class r;
+    - system holds those counts, and 1 in the sum-to-1 row.
+    """
+    nn = n * n
+    base = nn + 1
+    # the class of each cell ((i,k),(j,l)), in the order of TensorIndex.var
+    cls = [n * ((i + k) % n) + (j + l) % n
+           for i, k, j, l in product(range(n), repeat=4)]
+    columns = {}
+    pairs = _full_pairs(n)
+    profiles = _support_sums(n, pairs, [base ** r for r in cls])
+    for j, profile in enumerate(profiles):
+        columns.setdefault(profile, []).append(j)
+    data = [{j: h for j, p in enumerate(columns)
+             if (h := p // base ** r % base)} for r in range(nn)]
+    data.append(dict.fromkeys(range(len(columns)), 1))
+    groups = (*(tuple(v for v, rv in enumerate(cls) if rv == r)
+                for r in range(nn)), (nn * nn,))
+    return (pairs, groups, tuple(map(tuple, columns.values())),
+            SparseMatrix(base, len(columns), data))
+
+
+def class_psi_contains(c: RatMatrix, n: int) -> MembershipResult:
+    """psi_contains(c, n, mode=FULL), with the class LP of _class_system
+    (17 x 34 at n = 4, 26 x 351 at n = 5) as a first rung when c is
+    constant on each cell class, as every transfer matrix is.
+
+    Summing rows is an aggregation, so a Farkas vector lifts for any c to
+    y_v = y_R on each cell v of class R.  The shifts (i,k) -> (i+1,k-1) and
+    (j,l) -> (j+1,l-1) act transitively on each class and map each
+    column's members onto themselves, so a witness split evenly over the
+    members is constant on each class.  The size cap (check_lp_size over
+    all n!^2 pairs) applies before anything is built.
+    """
+    scaled = _checked_rhs(c, n)
+    check_lp_size(n, factorial(n) ** 2)
+    pairs, groups, columns, system = _class_system(n)
+    rungs = map(_full_rung, (n, n), (False, True))
+    rhs = scaled[1]
+    if all(rhs[v] == rhs[group[0]] for group in groups for v in group):
+        rungs = chain([(groups, system, columns)], rungs)
+    return _decide(c, n, FULL, list(pairs), rungs, scaled)

@@ -226,7 +226,7 @@ def test_verify_all_sigmas_checks_cap_before_enumerating(monkeypatch, capsys):
 @pytest.mark.parametrize("argv", [
     ["verify", "--n", "6", "--sigma", "(5 6)", "--lp"],
     ["verify-all", "--n", "6", "--lp"],
-    ["psi-oracle", "{uniform}", "--n", "6", "--mode", "full", "--allow-large"],
+    ["psi-oracle", "{uniform}", "--n", "6", "--mode", "full"],
 ])
 def test_lp_above_the_size_cap_fails_fast(monkeypatch, capsys, tmp_path,
                                           argv):
@@ -237,9 +237,9 @@ def test_lp_above_the_size_cap_fails_fast(monkeypatch, capsys, tmp_path,
 
     for module, name in ((polytopes, "all_pairs"),
                          (polytopes, "_full_pairs"),
-                         (polytopes, "_full_tables"),
+                         (polytopes, "_full_rung"),
                          (polytopes, "_grouped_rows"),
-                         (counterexample, "_full_pairs"),
+                         (polytopes, "_class_system"),
                          (counterexample, "is_counterexample_sigma"),
                          (permutations, "enumerate_counterexample_sigmas")):
         monkeypatch.setattr(module, name, refuse)
@@ -379,6 +379,25 @@ def test_psi_oracle_matches_golden_bytes(matrix, mode, golden):
                      "--mode", mode, "--format", "json")
     assert result.returncode == 0
     assert result.stdout == (GOLDEN / golden).read_text()
+
+
+def test_psi_oracle_full_mode_at_n5_takes_no_flag(tmp_path):
+    # The full n = 5 LP is the largest check_lp_size allows, and it runs
+    # as asked; --allow-large, which once lifted an n <= 4 cap, is gone.
+    t5 = tmp_path / "t5.txt"
+    assert run_cli("build", "T", "--n", "5", "--sigma", "(4 5)",
+                   "--output", str(t5)).returncode == 0
+    argv = ("psi-oracle", str(t5), "--n", "5", "--mode", "full",
+            "--format", "json")
+    result = run_cli(*argv)
+    assert result.returncode == 0
+    verdict = json.loads(result.stdout)
+    golden = json.loads((GOLDEN / "psi_full_n5_s45.json").read_text())
+    assert (verdict["in_psi"], verdict["verified"]) == (False, True)
+    assert verdict["farkas"] == golden["farkas"]
+    gone = run_cli(*argv, "--allow-large")
+    assert gone.returncode == 2
+    assert "unrecognized arguments: --allow-large" in gone.stderr
 
 
 def test_psi_oracle_usage_errors(tmp_path):

@@ -10,12 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tensorhull.counterexample import (
-    _class_system,
-    build_T,
-    certify_not_in_psi,
-    orbit_psi_contains,
-)
+from tensorhull.counterexample import build_T, certify_not_in_psi
 from tensorhull.exactmath import (
     RatMatrix,
     SparseMatrix,
@@ -35,6 +30,7 @@ from tensorhull.polytopes import (
     admissible_pairs,
     all_pairs,
     build_phi_constraints,
+    class_psi_contains,
     induced_marginals,
     kron,
     kron_support,
@@ -45,8 +41,9 @@ from tensorhull.polytopes import (
     support_columns,
     weights_reconstruct,
     _canonical_groups,
+    _class_system,
     _full_pairs,
-    _full_tables,
+    _full_rung,
     _grouped_rhs,
     _grouped_rows,
     _reduced_groups,
@@ -426,7 +423,7 @@ def test_psi_full_n5_farkas_matches_golden_bytes():
     # the certificate was recorded from the revised simplex that divided
     # every updated row by its gcd.
     sigma = parse_permutation("(4 5)", 5)
-    res = psi_contains(build_T(5, sigma), 5, mode="full", allow_large=True)
+    res = psi_contains(build_T(5, sigma), 5, mode="full")
     entry = {"sigma": list(sigma.image), "in_psi": res.in_psi,
              "farkas": [str(v) for v in res.farkas]}
     text = json.dumps(entry) + "\n"
@@ -480,29 +477,32 @@ def orbit_cases():
     return cases
 
 
-def spy_full_mode(monkeypatch):
-    """Record every call into psi_contains from the class LP's module."""
-    from tensorhull import counterexample
+def lp_rows(monkeypatch):
+    """The row count of every LP the Psi loop solves, in order: at n = 4,
+    17 for the class rung, 101 for the reduced and 257 for the canonical."""
+    from tensorhull import polytopes
 
-    calls = []
+    rows = []
 
-    def spy(c, n, **kwargs):
-        calls.append(kwargs)
-        return psi_contains(c, n, **kwargs)
+    def spy(c, d):
+        rows.append(c.rows)
+        return lp_feasible(c, d)
 
-    monkeypatch.setattr(counterexample, "psi_contains", spy)
-    return calls
+    monkeypatch.setattr(polytopes, "lp_feasible", spy)
+    return rows
 
 
 def test_orbit_psi_matches_full_mode(monkeypatch):
-    # T is constant on the cell classes, so no case falls back; each verdict
-    # matches the full-mode LP, and each lifted answer holds on the
-    # canonical system over all n!^2 pairs.
-    calls = spy_full_mode(monkeypatch)
+    # T is constant on the cell classes, so the class rung decides every
+    # case; each verdict matches the full-mode LP, and each lifted answer
+    # holds on the canonical system over all n!^2 pairs.
+    rows = lp_rows(monkeypatch)
     verdicts = []
     for n, t in orbit_cases():
-        res = orbit_psi_contains(t, n)
-        full = psi_contains(t, n, mode="full", allow_large=True)
+        rows.clear()
+        res = class_psi_contains(t, n)
+        assert rows == [n * n + 1]
+        full = psi_contains(t, n, mode="full")
         assert res.in_psi == full.in_psi
         assert res.mode == "full" and res.pairs == all_pairs(n)
         if res.in_psi:
@@ -514,7 +514,6 @@ def test_orbit_psi_matches_full_mode(monkeypatch):
                                 res.farkas)
         verdicts.append(res.in_psi)
     assert verdicts.count(True) == 9  # 8 of S_4 and the n = 5 control
-    assert calls == []
 
 
 def test_class_lp_lists_pairs_once_per_n(monkeypatch):
@@ -528,7 +527,7 @@ def test_class_lp_lists_pairs_once_per_n(monkeypatch):
     for n, t in orbit_cases():
         _class_system(n)
         monkeypatch.setattr(polytopes, "all_pairs", refuse)
-        first, second = orbit_psi_contains(t, n), orbit_psi_contains(t, n)
+        first, second = class_psi_contains(t, n), class_psi_contains(t, n)
         monkeypatch.undo()
         assert first.pairs == second.pairs == all_pairs(n)
         assert first.pairs is not second.pairs
@@ -539,7 +538,7 @@ def test_class_farkas_lift_matches_columns():
     # member of column j is column j times the class LP's Farkas vector,
     # with no division, and d'y is the class LP's d'y.
     for n, t in orbit_cases():
-        res = orbit_psi_contains(t, n)
+        res = class_psi_contains(t, n)
         if res.in_psi:
             continue
         _, groups, members, system = _class_system(n)
@@ -562,19 +561,19 @@ def test_class_psi_n5_all_sigmas(monkeypatch):
     # All 120 sigmas of S_5 on the class LP, whose 351 columns merge five
     # pairs of the 356 pair orbits: each verdict is the support
     # certificate's, the 20 affine sigmas get a witness that rebuilds T,
-    # and none falls back.
-    calls = spy_full_mode(monkeypatch)
+    # and each is decided by the class rung.
+    rows = lp_rows(monkeypatch)
     feasible = 0
     for sigma in all_permutations(5):
         t = build_T(5, sigma)
-        res = orbit_psi_contains(t, 5)
+        res = class_psi_contains(t, 5)
         assert res.in_psi == (not certify_not_in_psi(t, 5))
         assert res.in_psi == (not is_counterexample_sigma(sigma))
         if res.in_psi:
             assert weights_reconstruct(res.weights, 5) == t
             feasible += 1
     assert feasible == 20
-    assert calls == []
+    assert rows == [26] * 120
 
 
 def test_verify_psi_farkas_matches_support_oracle():
@@ -591,7 +590,7 @@ def test_verify_psi_farkas_matches_support_oracle():
     assert not filtered.in_psi and len(filtered.pairs) == 2
     lists = [all_pairs(n), filtered.pairs, []]
     seen = Counter()
-    for c, res in ((t, orbit_psi_contains(t, n)), (mix, filtered)):
+    for c, res in ((t, class_psi_contains(t, n)), (mix, filtered)):
         rhs = _scaled_rhs(c)[1]
         y = res.farkas
         tight = [support for support in map(kron_support, *zip(*res.pairs))
@@ -617,7 +616,7 @@ def test_orbit_psi_lifted_farkas_passes_dense_oracle():
     # on the class LP, not full mode's golden ones.
     checked = 0
     for n, t in orbit_cases()[:24]:
-        res = orbit_psi_contains(t, n)
+        res = class_psi_contains(t, n)
         if res.in_psi:
             continue
         canon, d = dense_grouped_system(*_scaled_rhs(t), n, res.pairs,
@@ -630,40 +629,102 @@ def test_orbit_psi_lifted_farkas_passes_dense_oracle():
 
 def test_orbit_psi_non_invariant_input_falls_back(monkeypatch):
     # T for (3 4) with 1/8 moved from a one of T to a zero of T: the matrix
-    # is no longer constant on the cell classes.
+    # is no longer constant on the cell classes, so the class rung is left
+    # out and the reduced rung decides, as in full mode.
     t = build_T(4, parse_permutation("(3 4)", 4))
     data = [list(row) for row in t.data]
     data[0][0], data[0][1] = data[0][0] - Fraction(1, 8), Fraction(1, 8)
     assert t.data[0][0] == Fraction(1, 4) and t.data[0][1] == 0
     c = RatMatrix(16, 16, data)
-    calls = spy_full_mode(monkeypatch)
-    res = orbit_psi_contains(c, 4)
-    assert calls == [{"mode": "full", "allow_large": True}]
+    rows = lp_rows(monkeypatch)
+    res = class_psi_contains(c, 4)
+    assert rows == [101]
     full = psi_contains(c, 4, mode="full")
+    assert rows == [101, 101]
     assert (res.in_psi, res.farkas, res.weights) == (
         full.in_psi, full.farkas, full.weights)
 
 
-@pytest.mark.parametrize("recheck, sigma", [
-    ("_verify_psi_farkas", "(3 4)"),
-    ("weights_reconstruct", "()"),
-])
-def test_orbit_psi_failed_recheck_falls_back(monkeypatch, recheck, sigma):
-    # The class LP's re-check fails; full mode then decides with its own
-    # re-checks, which run the real function.
-    from tensorhull import counterexample
+def fail_first_rechecks(monkeypatch, name, count):
+    """Make polytopes.<name> fail the re-check of its first count callers
+    and answer for real after them; returns the list of calls."""
+    from tensorhull import polytopes
 
-    seen = []
+    real = getattr(polytopes, name)
+    calls = []
+
+    def flaky(*args):
+        calls.append(name)
+        return len(calls) > count and real(*args)
+
+    monkeypatch.setattr(polytopes, name, flaky)
+    return calls
+
+
+RECHECKS = [("_verify_psi_farkas", "(3 4)"), ("weights_reconstruct", "()")]
+
+
+@pytest.mark.parametrize("recheck, sigma", RECHECKS)
+def test_orbit_psi_failed_recheck_falls_back(monkeypatch, recheck, sigma):
+    # The class rung's re-check fails; the reduced rung then decides with
+    # the real re-check, as in full mode.
     t = build_T(4, parse_permutation(sigma, 4))
     want = psi_contains(t, 4, mode="full")
-    calls = spy_full_mode(monkeypatch)
-    monkeypatch.setattr(counterexample, recheck,
-                        lambda *args: seen.append(recheck))
-    res = orbit_psi_contains(t, 4)
-    assert calls == [{"mode": "full", "allow_large": True}]
-    assert seen == [recheck]
+    rows = lp_rows(monkeypatch)
+    calls = fail_first_rechecks(monkeypatch, recheck, 1)
+    res = class_psi_contains(t, 4)
+    assert rows == [17, 101]
+    assert calls == [recheck] * 2
     assert (res.in_psi, res.farkas, res.weights) == (
         want.in_psi, want.farkas, want.weights)
+
+
+@pytest.mark.parametrize("recheck, sigma", RECHECKS)
+@pytest.mark.parametrize("decide, failures, want_rows", [
+    (lambda t: psi_contains(t, 4, mode="full"), 1, [101, 257]),
+    (lambda t: psi_contains(t, 4), 1, [101, 257]),
+    (lambda t: class_psi_contains(t, 4), 2, [17, 101, 257]),
+])
+def test_failed_reduced_recheck_goes_to_canonical_rung(
+        monkeypatch, recheck, sigma, decide, failures, want_rows):
+    # Every rung before the canonical one fails its re-check: the canonical
+    # rung answers, and its answer holds on the untouched system.
+    t = build_T(4, parse_permutation(sigma, 4))
+    rows = lp_rows(monkeypatch)
+    fail_first_rechecks(monkeypatch, recheck, failures)
+    res = decide(t)
+    assert rows == want_rows
+    assert res.in_psi == (sigma == "()")
+    if res.in_psi:
+        assert sum(res.weights.values()) == 1
+        assert weights_reconstruct(res.weights, 4) == t
+    else:
+        assert check_farkas(*membership_system(t, 4, res.pairs), res.farkas)
+
+
+@pytest.mark.parametrize("recheck, sigma", RECHECKS)
+def test_failed_canonical_recheck_raises(monkeypatch, capsys, tmp_path,
+                                         recheck, sigma):
+    # No answer is returned without its re-check: when the canonical rung
+    # fails it too, the loop raises, and the CLI reports a divergence.
+    from tensorhull import cli
+    from tensorhull.exactmath import format_matrix
+
+    t = build_T(4, parse_permutation(sigma, 4))
+    matrix = tmp_path / "t.txt"
+    matrix.write_text(format_matrix(t))
+    rows = lp_rows(monkeypatch)
+    fail_first_rechecks(monkeypatch, recheck, 3)
+    with pytest.raises(AssertionError, match="failed its re-check"):
+        class_psi_contains(t, 4)
+    assert rows == [17, 101, 257]
+    monkeypatch.undo()
+    fail_first_rechecks(monkeypatch, recheck, 10 ** 9)
+    for argv in (["verify", "--n", "4", "--sigma", sigma, "--lp"],
+                 ["psi-oracle", str(matrix), "--n", "4", "--mode", "full"]):
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        assert "verification divergence" in capsys.readouterr().err
 
 
 def vertex_mix(rng, n: int, k: int) -> RatMatrix:
@@ -738,6 +799,36 @@ def test_psi_modes_agree():
         assert lp_feasible(*reduced).feasible
 
 
+@pytest.mark.parametrize("n, count", [(2, 8), (3, 8), (4, 3)])
+def test_fuzz_mixes_of_tensor_products_lie_in_phi_and_psi(n, count):
+    # Seeded convex combinations of A (x) B, with A and B random mixes of
+    # permutation matrices: each lies in Phi, and both psi_contains modes
+    # and class_psi_contains find a witness that sums to 1 and rebuilds it.
+    # Such inputs are mostly not constant on the cell classes, so the class
+    # LP mostly hands them to the full-mode rungs.
+    rng = random.Random(1000 + n)
+    sys_ = build_phi_constraints(n)
+    groups = _class_system(n)[1][:-1]
+    on_classes = 0
+    for _ in range(count):
+        raw = [rng.randint(1, 9) for _ in range(rng.randint(1, 3))]
+        c = convex_combination(
+            [tensor_product(random_doubly_stochastic(rng, n),
+                            random_doubly_stochastic(rng, n)) for _ in raw],
+            [Fraction(w, sum(raw)) for w in raw])
+        assert phi_contains(c, sys_).ok
+        cells = [v for row in c.data for v in row]
+        on_classes += all(len({cells[v] for v in group}) == 1
+                          for group in groups)
+        for res in (psi_contains(c, n), psi_contains(c, n, mode="full"),
+                    class_psi_contains(c, n)):
+            assert res.in_psi
+            assert all(w > 0 for w in res.weights.values())
+            assert sum(res.weights.values()) == 1
+            assert weights_reconstruct(res.weights, n) == c
+    assert on_classes < count
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_reduced_rows_span_the_canonical_system(n):
     pairs = all_pairs(n)
@@ -809,11 +900,13 @@ def test_psi_lp_pivots_match_reference_tableau():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_full_tables_match_fresh_rows(n):
     # The rows kept per n are the rows built afresh over all_pairs(n), for
-    # both tables, and full mode hands each result its own pair list.
+    # both rungs, and full mode hands each result its own pair list.
     assert list(_full_pairs(n)) == all_pairs(n)
     fresh = supports(all_pairs(n))
-    for kept, groups in zip(_full_tables(n),
-                            (_reduced_groups(n), _canonical_groups(n))):
+    for canonical, groups in ((False, _reduced_groups(n)),
+                              (True, _canonical_groups(n))):
+        kept_groups, kept, members = _full_rung(n, canonical)
+        assert (kept_groups, members) == (groups, None)
         want = _grouped_rows(n, fresh, groups)
         assert (kept.rows, kept.cols, kept.data) == (
             want.rows, want.cols, want.data)
@@ -821,6 +914,28 @@ def test_full_tables_match_fresh_rows(n):
     first, second = (psi_contains(c, n, mode="full") for _ in range(2))
     assert first.pairs == second.pairs == all_pairs(n)
     assert first.pairs is not second.pairs
+
+
+def test_full_mode_builds_each_rung_when_reached(monkeypatch):
+    # On a cleared cache, a feasible full-mode query builds the reduced
+    # rows only; the canonical rows wait for an input outside the span of
+    # the vertices, which the reduced rung cannot decide.
+    from tensorhull import polytopes
+
+    built = []
+
+    def counted(n, supports, groups):
+        built.append(len(groups))
+        return _grouped_rows(n, supports, groups)
+
+    monkeypatch.setattr(polytopes, "_grouped_rows", counted)
+    _full_rung.cache_clear()
+    assert psi_contains(vertex_mix(random.Random(41), 4, 2), 4,
+                        mode="full").in_psi
+    assert built == [101]
+    assert not psi_contains(span_perturbed(random.Random(84), 4), 4,
+                            mode="full").in_psi
+    assert built == [101, 257]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -831,7 +946,7 @@ def test_membership_system_shares_rows_only_for_all_pairs(n):
     c = vertex_mix(random.Random(50 + n), n, 2)
     pairs = all_pairs(n)
     canon, d = membership_system(c, n, pairs)
-    assert canon is _full_tables(n)[1]
+    assert canon is _full_rung(n, True)[1]
     swapped = list(pairs)
     swapped[1], swapped[2] = swapped[2], swapped[1]
     for other in (pairs[::-1], swapped, pairs[:-1], pairs[1:]):
@@ -857,8 +972,7 @@ def test_kept_psi_tables_answer_each_rhs_afresh():
                 vertex_mix(rng, n, 3), span_perturbed(rng, n),
                 build_T(n, random_permutation(rng, n))][:count]
         fresh = supports(all_pairs(n))
-        for kept, groups in zip(_full_tables(n),
-                                (_reduced_groups(n), _canonical_groups(n))):
+        for groups, kept, _ in map(_full_rung, (n, n), (False, True)):
             for c in mats:
                 d = _grouped_rhs(*_scaled_rhs(c), groups)
                 res = lp_feasible(kept, d)
@@ -938,20 +1052,18 @@ def test_psi_rejects_bad_input():
     with pytest.raises(ValueError):
         psi_contains(neg, 2)
     with pytest.raises(ValueError):
-        psi_contains(uniform_matrix(5), 5, mode="full")
-    with pytest.raises(ValueError):
         psi_contains(uniform_matrix(2), 2, mode="nonsense")
     # The class LP refuses the same inputs; -T is constant on the classes.
     with pytest.raises(ValueError, match="16 x 16"):
-        orbit_psi_contains(eye, 4)
+        class_psi_contains(eye, 4)
     t = build_T(4, parse_permutation("(3 4)", 4))
     minus_t = RatMatrix(16, 16, [[-v for v in row] for row in t.data])
     with pytest.raises(ValueError, match="negative entries"):
-        orbit_psi_contains(minus_t, 4)
+        class_psi_contains(minus_t, 4)
 
 
 def test_psi_lp_size_cap(monkeypatch):
-    from tensorhull import counterexample, polytopes
+    from tensorhull import polytopes
 
     # The full n = 5 system (626 x 14,400) is the largest LP allowed.
     polytopes.check_lp_size(5, 14400)
@@ -963,15 +1075,14 @@ def test_psi_lp_size_cap(monkeypatch):
 
     for module, name in ((polytopes, "all_pairs"),
                          (polytopes, "_full_pairs"),
-                         (polytopes, "_full_tables"),
+                         (polytopes, "_full_rung"),
                          (polytopes, "_grouped_rows"),
-                         (counterexample, "_full_pairs"),
-                         (counterexample, "_class_system")):
+                         (polytopes, "_class_system")):
         monkeypatch.setattr(module, name, refuse)
     with pytest.raises(ValueError, match="1297 x 518400"):
-        psi_contains(uniform_matrix(6), 6, mode="full", allow_large=True)
+        psi_contains(uniform_matrix(6), 6, mode="full")
     with pytest.raises(ValueError, match="1297 x 518400"):
-        orbit_psi_contains(build_T(6, parse_permutation("(5 6)", 6)), 6)
+        class_psi_contains(build_T(6, parse_permutation("(5 6)", 6)), 6)
     # A support-filtered LP over as many pairs is refused the same way
     # (1297 x 6951 entries is one column over the cap).
     monkeypatch.setattr(polytopes, "admissible_pairs",
