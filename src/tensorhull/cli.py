@@ -98,8 +98,7 @@ def cmd_verify(args) -> int:
     if args.sigma is None:
         raise UsageError("verify requires --sigma")
     sigma = _parse_sigma(args.sigma, args.n)
-    report = counterexample.full_verification(
-        args.n, sigma, run_lp=args.lp, strict_families=args.strict_families)
+    report = counterexample.full_verification(args.n, sigma, run_lp=args.lp)
     if args.format == "json":
         _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.output)
     else:
@@ -115,11 +114,10 @@ def cmd_verify(args) -> int:
 def _verify_worker(packed):
     """One sigma's report; an internal divergence is its red flag, so the
     batch goes on instead of aborting."""
-    n, image, run_lp, strict = packed
+    n, image, run_lp = packed
     sigma = permutations.Permutation(image)
     try:
-        return counterexample.full_verification(
-            n, sigma, run_lp=run_lp, strict_families=strict)
+        return counterexample.full_verification(n, sigma, run_lp=run_lp)
     except (AssertionError, RuntimeError) as exc:
         return counterexample.VerificationReport(
             n=n, sigma=sigma, red_flags=[f"verification divergence: {exc}"])
@@ -154,7 +152,7 @@ def cmd_verify_all(args) -> int:
     else:
         sigmas = permutations.enumerate_counterexample_sigmas(
             args.n, args.sn_cap)
-    jobs = [(args.n, s.image, args.lp, args.strict_families) for s in sigmas]
+    jobs = [(args.n, s.image, args.lp) for s in sigmas]
     workers = min(args.workers, len(jobs))
     if workers > 1:
         import multiprocessing  # ~13 ms to import, so only when pooling
@@ -238,12 +236,11 @@ def cmd_psi_oracle(args) -> int:
 
 def cmd_phi_check(args) -> int:
     m = _load_square_matrix(args.matrix, args.n)
-    sys_ = polytopes.build_phi_constraints(args.n, args.strict_families)
+    sys_ = polytopes.build_phi_constraints(args.n)
     check = polytopes.phi_contains(m, sys_)
     if args.format == "json":
         payload = {
             "n": args.n,
-            "strict_families": args.strict_families,
             "member": check.ok,
             "negative_entries": [list(t) for t in check.negative_entries],
             "violations": [{"label": lbl, "residual": str(res)}
@@ -261,7 +258,7 @@ def cmd_phi_check(args) -> int:
 
 
 def _add_common(parser, *, sigma=False, lp=False, workers=False,
-                sn_cap=False, strict=False, fmt=True):
+                sn_cap=False, fmt=True):
     parser.add_argument("--n", type=int, required=True, help="side length n")
     if sigma:
         parser.add_argument(
@@ -279,10 +276,6 @@ def _add_common(parser, *, sigma=False, lp=False, workers=False,
         parser.add_argument("--sn-cap", type=int,
                             default=permutations.DEFAULT_SN_CAP,
                             help="cap for full S_n enumeration")
-    if strict:
-        parser.add_argument("--strict-families", action="store_true",
-                            help="use the literal alternate reading of the "
-                                 "third/fourth constraint families")
     if fmt:
         parser.add_argument("--format", choices=("text", "json"),
                             default="text")
@@ -315,12 +308,12 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_build)
 
     p = sub.add_parser("verify", help="full verification for one sigma")
-    _add_common(p, sigma=True, lp=True, strict=True)
+    _add_common(p, sigma=True, lp=True)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("verify-all",
                        help="full verification over the admissible sigmas")
-    _add_common(p, lp=True, workers=True, sn_cap=True, strict=True)
+    _add_common(p, lp=True, workers=True, sn_cap=True)
     p.add_argument("--all-sigmas", action="store_true",
                    help="verify every sigma in S_n, not just admissible ones")
     p.set_defaults(fn=cmd_verify_all)
@@ -336,7 +329,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phi-check",
                        help="exact membership check for the linear relaxation")
     p.add_argument("matrix", help="matrix file in the text format")
-    _add_common(p, strict=True)
+    _add_common(p)
     p.set_defaults(fn=cmd_phi_check)
 
     return parser

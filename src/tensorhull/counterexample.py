@@ -188,8 +188,8 @@ class VerificationReport:
         return out
 
 
-def full_verification(n: int, sigma: Permutation, run_lp: bool | None = None,
-                      strict_families: bool = False) -> VerificationReport:
+def full_verification(n: int, sigma: Permutation,
+                      run_lp: bool | None = None) -> VerificationReport:
     """Run every stage for one (n, sigma) and return the complete report.
 
     No stage is skipped silently: the LP stage records 'skipped' when not
@@ -229,7 +229,7 @@ def full_verification(n: int, sigma: Permutation, run_lp: bool | None = None,
     t, report.transfer_identity = stage("transfer", transfer)
     report.block_structure = stage(
         "block_structure", lambda: block_structure_report(t, n).ok)
-    sys = build_phi_constraints(n, strict_families)
+    sys = build_phi_constraints(n)
     report.in_phi = stage("phi_membership", lambda: phi_contains(t, sys).ok)
     if report.in_phi:
         rank, size = stage("phi_vertex", lambda: phi_support_rank(t, sys))

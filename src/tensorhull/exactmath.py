@@ -3,20 +3,19 @@
 Scalars are exact rationals, `int` or `fractions.Fraction`: arbitrary
 precision, always in canonical form (reduced, positive denominator).  Nothing
 in this module ever touches floating point.  The rank and LP feasibility
-both take sparse rows (SparseMatrix); dense RatMatrix holds the matrices
-that are read, built and printed.  The rank works on the integer rows left
-after clearing denominators.  Rows of the form v (e_a - e_b) are contracted
-first: they join columns into classes, and their rank is the number of
-columns joined.  Fraction-free (Bareiss) elimination on the other rows, with
-each column summed into its class, gives the rest of the rank exactly.  LP
-feasibility is a revised simplex that keeps B^-1 of the basis B as sparse rows
-at positive scales; its witnesses and Farkas vectors are re-checked over the
-same rows, in ints.
+both take sparse rows of nonzero ints (SparseMatrix, which refuses anything
+else); dense RatMatrix holds the matrices that are read, built and printed.
+Rows of the form v (e_a - e_b) are contracted first: they join columns into
+classes, and their rank is the number of columns joined.  Fraction-free
+(Bareiss) elimination on the other rows, with each column summed into its
+class, gives the rest of the rank exactly.  LP feasibility is a revised
+simplex that keeps B^-1 of the basis B as sparse rows at positive scales;
+its witnesses and Farkas vectors are re-checked over the same rows, in ints.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from math import gcd, lcm
 from operator import attrgetter, mul
 
@@ -84,12 +83,19 @@ class RatMatrix:
 
 
 class SparseMatrix:
-    """rows x cols, one {column: value} dict per row, zeros absent.  The
-    first lp_feasible over it keeps _simplex_index on it: rows stay fixed."""
+    """rows x cols, one {column: value} dict per row, zeros absent.
+
+    Every value is a nonzero int: a Fraction, a bool or a stored zero raises
+    TypeError here, the one check that rat_rank and lp_feasible rely on.  The
+    first lp_feasible over it keeps _simplex_index on it: rows stay fixed.
+    """
 
     __slots__ = ("rows", "cols", "data", "_simplex")
 
     def __init__(self, rows: int, cols: int, data):
+        values = [*chain.from_iterable(map(dict.values, data))]
+        if not all(values) or not {int}.issuperset(map(type, values)):
+            raise TypeError("SparseMatrix rows hold nonzero ints only")
         self.rows, self.cols, self.data = rows, cols, data
         self._simplex = None
 
@@ -136,22 +142,18 @@ def format_matrix(m: RatMatrix) -> str:
 
 
 def rat_rank(m: SparseMatrix) -> int:
-    """Exact rank over the rationals.
+    """Exact rank of m's integer rows, read as they are.
 
-    Each row is scaled by the lcm of its denominators into an integer row;
-    scaling rows by nonzero integers keeps the rank.  Rows v (e_a - e_b)
-    say x_a = x_b on the kernel; they join the columns into k classes and
-    have rank cols - k.  Their kernel is the vectors constant on each class,
-    x = P z with P the cols x k class indicator, so the rank of all rows is
-    cols - k plus the rank of R P, the other rows R with each column summed
-    into its class.  Fraction-free (Bareiss) elimination gives that rank
-    exactly.
+    Rows v (e_a - e_b) say x_a = x_b on the kernel; they join the columns
+    into k classes and have rank cols - k.  Their kernel is the vectors
+    constant on each class, x = P z with P the cols x k class indicator, so
+    the rank of all rows is cols - k plus the rank of R P, the other rows R
+    with each column summed into its class.  Fraction-free (Bareiss)
+    elimination gives that rank exactly.
     """
     if m.rows == 0 or m.cols == 0:
         return 0
-    rows = [{c: v for c, v in zip(row, clear_denominators(row.values())[1])
-             if v} for row in m.data]
-    _, k, contracted = _contract_equalities(rows, m.cols)
+    _, k, contracted = _contract_equalities(m.data, m.cols)
     return m.cols - k + _bareiss_rank(contracted, k)
 
 
@@ -257,8 +259,8 @@ def check_farkas(c_matrix: SparseMatrix, d, y) -> bool:
     """Independent check that y certifies infeasibility of {x>=0 : Cx=d}.
 
     y and d are each scaled once by the lcm of their denominators, positive
-    factors that keep the sign of every entry of C'y and of d'y; on integer
-    rows of C the sums then run over ints, one term per nonzero of C.
+    factors that keep the sign of every entry of C'y and of d'y; C's rows
+    are ints, so the sums then run over ints, one term per nonzero of C.
     """
     if len(d) != c_matrix.rows or len(y) != c_matrix.rows:
         raise ValueError("dimension mismatch")
@@ -288,7 +290,8 @@ def lp_feasible(c_matrix: SparseMatrix, d) -> Feasibility:
     if len(d) != m:
         raise ValueError("d length does not match row count of C")
     d = [as_rational(v) for v in d]
-    status, x_or_y = _phase1_simplex(_simplex_index(c_matrix), d, nvars)
+    status, x_or_y = _phase1_simplex(c_matrix.data, _simplex_index(c_matrix),
+                                     d, nvars)
     if status == FEASIBLE:
         x = x_or_y
         if any(v < 0 for v in x):
@@ -306,33 +309,28 @@ def lp_feasible(c_matrix: SparseMatrix, d) -> Feasibility:
 
 
 def _simplex_index(c_matrix: SparseMatrix):
-    """(lcms, rows, cols), the simplex's set-up that reads only C, built once
-    and kept on c_matrix.  rows[i] is row i of C times lcms[i], the lcm of
-    its denominators (an all-int row is its own dict); cols[j] lists the
-    (i, rows[i][j]), one tuple per distinct (i, value), shared by columns.
+    """The column index of C, the simplex's set-up that reads only C, built
+    once and kept on c_matrix: cols[j] lists the (i, C[i][j]) of column j,
+    one tuple per distinct (i, value), shared by columns.
     """
     if c_matrix._simplex is None:
-        lcms, rows, shared = [], [], {}
+        shared = {}
         cols = [[] for _ in range(c_matrix.cols)]
         for i, row in enumerate(c_matrix.data):
-            mult, ints = clear_denominators(row.values())
-            lcms.append(mult)
-            rows.append(row if all(type(v) is int for v in row.values())
-                        else dict(zip(row, ints)))
-            for j, v in rows[-1].items():
+            for j, v in row.items():
                 cols[j].append(shared.setdefault((i, v), (i, v)))
-        c_matrix._simplex = lcms, rows, cols
+        c_matrix._simplex = cols
     return c_matrix._simplex
 
 
-def _phase1_simplex(index, d, nvars):
+def _phase1_simplex(arows, cols, d, nvars):
     """Phase-1 revised simplex over integer data; returns (status, x or y).
 
-    index is _simplex_index(C).  Row i of [C | d] is scaled to integers
-    with rhs >= 0: its integer row rows[i] times fac[i], the sign of the
-    rhs times lcm(lcms[i], den d_i) / lcms[i].  An artificial column e_i is
-    added, so the first basis is the artificials and the tableau is always
-    B^-1 [A | I | b].  Only two parts of it are kept:
+    arows are the integer rows of C and cols its _simplex_index.  Row i of
+    [C | d] is scaled to integers with rhs >= 0 by mults[i], den d_i with
+    the sign of d_i.  An artificial column e_i is added, so the first basis
+    is the artificials and the tableau is always B^-1 [A | I | b].  Only two
+    parts of it are kept:
 
     - binv[i], row i of [B^-1 | B^-1 b] as a sparse {column: int} (the rhs
       under key m), held at its own positive scale;
@@ -347,21 +345,18 @@ def _phase1_simplex(index, d, nvars):
     rules read only ratios inside one row and comparisons inside z, so the
     positive scales leave the pivot sequence that of the full tableau.
     """
-    lcms, arows, cols = index
     m = len(arows)
     if m == 0:
         return FEASIBLE, [0] * nvars
     # Flip signs so rhs >= 0; mults[i] maps certificates back to row i of C.
-    mults = [lcm(a, di.denominator) * (-1 if di < 0 else 1)
-             for a, di in zip(lcms, d)]
-    fac = [mult // a for mult, a in zip(mults, lcms)]
-    rhs = [di.numerator * mult // di.denominator for di, mult in zip(d, mults)]
+    mults = [-di.denominator if di < 0 else di.denominator for di in d]
+    rhs = [abs(di.numerator) for di in d]
     binv = [{i: 1, m: b} if b else {i: 1} for i, b in enumerate(rhs)]
     holders = [{i} for i in range(m)]  # holders[k]: rows i with k in binv[i]
     # Phase-1 reduced costs, zc on the structural columns (0 - the column
     # sums) and za on the artificials (1 - 1 = 0) and the rhs (index m).
     zc, za = [0] * nvars, [0] * m + [-sum(rhs)]
-    for f, row in zip(fac, arows):
+    for f, row in zip(mults, arows):
         for j, v in row.items():
             zc[j] -= f * v
     zscale = 1
@@ -373,7 +368,7 @@ def _phase1_simplex(index, d, nvars):
         enter = zc.index(best)
         col = {}
         for k, v in cols[enter]:
-            v *= fac[k]
+            v *= mults[k]
             for i in holders[k]:
                 col[i] = col.get(i, 0) + binv[i][k] * v
         col = {i: a for i, a in col.items() if a}
@@ -430,7 +425,7 @@ def _phase1_simplex(index, d, nvars):
             hv = h * v
             za[k] -= hv  # artificial k, or the rhs when k == m
             if k < m:
-                hv *= fac[k]
+                hv *= mults[k]
                 for j, a in arows[k].items():
                     zc[j] -= hv * a
         if f != 1:
@@ -444,7 +439,7 @@ def _phase1_simplex(index, d, nvars):
         for i, j in enumerate(basis):
             if j < nvars:
                 # Row i holds a true 1 in its basic column: that is its scale.
-                scale = sum(binv[i].get(k, 0) * fac[k] * v
+                scale = sum(binv[i].get(k, 0) * mults[k] * v
                             for k, v in cols[j])
                 x[j] = Fraction(binv[i].get(m, 0), scale)
         return FEASIBLE, x

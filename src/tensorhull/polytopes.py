@@ -81,7 +81,7 @@ class ConstraintSystem:
         return self.n ** 4
 
     def column_submatrix(self, cols) -> SparseMatrix:
-        """The rows restricted to cols, column cols[j] renumbered j."""
+        """The rows on the columns cols only, column cols[j] renumbered j."""
         pos = {c: j for j, c in enumerate(cols)}
         if len(pos) != len(cols):
             raise ValueError("duplicate column indices")
@@ -91,13 +91,14 @@ class ConstraintSystem:
 
 
 @lru_cache(maxsize=None)
-def build_phi_constraints(n: int, strict_families: bool = False) -> ConstraintSystem:
+def build_phi_constraints(n: int) -> ConstraintSystem:
     """All equality rows of the Phi relaxation, with provenance labels.
 
     Emits 2n^2 global row/column sum rows and four families of (n-1)n^2
-    balance rows each.  By default families 3 and 4 distinguish the inner
-    index k (k=2..n with i,j free), mirroring families 1 and 2; the literal
-    alternate reading (i=2..n with j,k free) sits behind strict_families.
+    balance rows each, every coefficient an int.  Families 3 and 4
+    distinguish the inner index k (k=2..n with i,j free), mirroring families
+    1 and 2.  The literal reading (i=2..n with j,k free) defines the same
+    affine space; the tests keep it as their reference.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -137,10 +138,7 @@ def build_phi_constraints(n: int, strict_families: bool = False) -> ConstraintSy
                 balance((ti.var(j, k, i, l) for j in rng),
                         (ti.var(1, k, j, l) for j in rng),
                         f"fam2[i={i},k={k},l={l}]")
-    if strict_families:
-        fam34_outer = [(i, k) for i in range(2, n + 1) for k in rng]
-    else:
-        fam34_outer = [(i, k) for k in range(2, n + 1) for i in rng]
+    fam34_outer = [(i, k) for k in range(2, n + 1) for i in rng]
     for i, k in fam34_outer:
         for j in rng:
             balance((ti.var(i, k, j, l) for l in rng),

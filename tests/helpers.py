@@ -13,7 +13,8 @@ from fractions import Fraction
 from tensorhull.circulants import build_A, build_B
 from tensorhull.exactmath import RatMatrix, SparseMatrix
 from tensorhull.permutations import Permutation, all_permutations
-from tensorhull.polytopes import TensorIndex, kron_support
+from tensorhull.polytopes import (ConstraintSystem, TensorIndex,
+                                  build_phi_constraints, kron_support)
 
 # The published 16x16 transfer matrix for n=4, sigma=(3 4), transcribed by
 # hand as the 1-based column positions of the 1/4 entries in each row.
@@ -404,6 +405,47 @@ def dense_grouped_system(mult: int, rhs, n: int, pairs, groups):
                 data[r][j] += 1
     d = [Fraction(sum(rhs[v] for v in group), mult) for group in groups]
     return RatMatrix(len(groups), len(pairs), data), d
+
+
+def integer_rows(m: RatMatrix, d=None):
+    """m with each row scaled by the lcm of its denominators and its zeros
+    dropped, as the SparseMatrix of nonzero ints the exact kernels take.
+    Given d, returns (that matrix, d with d_i scaled by row i's factor)."""
+    mults = [math.lcm(*(Fraction(v).denominator for v in row))
+             for row in m.data]
+    data = [{j: int(v * f) for j, v in enumerate(row) if v}
+            for row, f in zip(m.data, mults)]
+    s = SparseMatrix(m.rows, m.cols, data)
+    if d is None:
+        return s
+    return s, [Fraction(v) * f for v, f in zip(d, mults)]
+
+
+def literal_phi_constraints(n: int) -> ConstraintSystem:
+    """Phi under the literal reading of families 3 and 4, the reference the
+    library's one reading is checked against: build_phi_constraints(n)'s
+    rows up to family 2, then families 3 and 4 rebuilt over i = 2..n with
+    j and k free, every (i, k, j) a row; k = 1 gives the empty row."""
+    phi = build_phi_constraints(n)
+    keep = [i for i, label in enumerate(phi.labels)
+            if not label.startswith(("fam3", "fam4"))]
+    rows = [phi.rows[i] for i in keep]
+    d = [phi.d[i] for i in keep]
+    labels = [phi.labels[i] for i in keep]
+    ti = TensorIndex(n)
+    rng = range(1, n + 1)
+    for fam in (3, 4):
+        for i, k, j in itertools.product(range(2, n + 1), rng, rng):
+            row = {}
+            for l in rng:
+                plus = ti.var(i, k, j, l) if fam == 3 else ti.var(i, l, j, k)
+                minus = ti.var(i, 1, j, l)
+                row[plus] = row.get(plus, 0) + 1
+                row[minus] = row.get(minus, 0) - 1
+            rows.append({c: v for c, v in row.items() if v})
+            d.append(0)
+            labels.append(f"fam{fam}[i={i},k={k},j={j}]")
+    return ConstraintSystem(n, rows, d, labels)
 
 
 def dense_check_farkas(c: RatMatrix, d, y) -> bool:

@@ -446,15 +446,19 @@ def test_phi_check_member_and_nonmember(tmp_path):
     assert any(v["label"] == "rowsum[1,1]" for v in verdict["violations"])
 
 
-def test_phi_check_strict_families(tmp_path):
-    from tensorhull.counterexample import build_T
-    from tensorhull.exactmath import format_matrix
-    from tensorhull.permutations import parse_permutation
+def test_strict_families_is_an_unknown_argument(capsys):
+    # Phi has one reading of families 3 and 4, so no subcommand takes a
+    # switch between readings
+    from tensorhull import cli
 
-    path = tmp_path / "t.txt"
-    path.write_text(format_matrix(build_T(4, parse_permutation("(3 4)", 4))))
-    result = run_cli("phi-check", str(path), "--n", "4", "--strict-families")
-    assert result.returncode == 0
+    for argv in (["verify", "--n", "4", "--sigma", "(3 4)"],
+                 ["verify-all", "--n", "4"],
+                 ["phi-check", "t.txt", "--n", "4"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--strict-families"])
+        assert exc.value.code == 2
+        assert ("unrecognized arguments: --strict-families"
+                in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -463,29 +467,50 @@ def test_phi_check_strict_families(tmp_path):
     (["verify", "--n", "6", "--sigma", "(5 6)"], 0),
 ])
 def test_verify_strict_families_keeps_the_verdict(argv, code, capsys):
-    # Both family readings define the same affine space, so the flag
-    # changes no report; (1 5)(2 6) fails phi_vertex either way.
+    # Both family readings define the same affine space, so the literal one
+    # gives every report's T the same Phi membership and support rank;
+    # (1 5)(2 6) fails phi_vertex (rank 215 of 216) either way.
+    from helpers import literal_phi_constraints
     from tensorhull import cli
+    from tensorhull.counterexample import build_T
+    from tensorhull.permutations import Permutation
+    from tensorhull.polytopes import phi_contains, phi_support_rank
 
-    def run(*extra):
-        code = cli.main([*argv, "--format", "json", *extra])
-        reports = json.loads(capsys.readouterr().out)
-        for r in reports if isinstance(reports, list) else [reports]:
-            r.pop("timings")
-        return code, reports
+    assert cli.main([*argv, "--format", "json"]) == code
+    reports = json.loads(capsys.readouterr().out)
+    for r in reports if isinstance(reports, list) else [reports]:
+        n = r["n"]
+        t = build_T(n, Permutation(r["sigma"]["image"]))
+        literal = literal_phi_constraints(n)
+        assert phi_contains(t, literal).ok is r["stages"]["phi_membership"]
+        rank_size = phi_support_rank(t, literal)
+        assert rank_size == (r["support"]["rank"], r["support"]["size"])
+        if argv[0] == "verify":
+            assert rank_size == ((215 if code else 216), 216)
 
-    strict = run("--strict-families")
-    assert strict == run() and strict[0] == code
+
+def test_phi_is_built_once_per_n(tmp_path, capsys):
+    # the benchmark's set-up call, a verification and a phi-check all read
+    # one cached system
+    from tensorhull import cli, counterexample, polytopes
+    from tensorhull.exactmath import format_matrix
+    from tensorhull.permutations import parse_permutation
+
+    sigma = parse_permutation("(5 6)", 6)
+    path = tmp_path / "t.txt"
+    path.write_text(format_matrix(counterexample.build_T(6, sigma)))
+    polytopes.build_phi_constraints.cache_clear()
+    polytopes.build_phi_constraints(6)
+    counterexample.full_verification(6, sigma, run_lp=False)
+    assert cli.main(["phi-check", str(path), "--n", "6"]) == 0
+    assert polytopes.build_phi_constraints.cache_info().currsize == 1
 
 
 # The perturbed mix breaks rows with residuals like -1/6, so these bytes pin
-# how int coefficients and rhs mix with the Fraction entries of the input;
-# the strict reading lists fewer broken rows.
+# how int coefficients and rhs mix with the Fraction entries of the input.
 @pytest.mark.parametrize("extra, fmt, golden", [
     ((), "json", "phi_check_perturbed_n4.json"),
     ((), "text", "phi_check_perturbed_n4_text.txt"),
-    (("--strict-families",), "json", "phi_check_perturbed_n4_strict.json"),
-    (("--strict-families",), "text", "phi_check_perturbed_n4_strict_text.txt"),
 ])
 def test_phi_check_matches_golden_bytes(extra, fmt, golden):
     result = run_cli("phi-check", str(GOLDEN / "psi_perturbed_n4.txt"),

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from tensorhull import exactmath
 from tensorhull.exactmath import (
     FEASIBLE,
     INFEASIBLE,
@@ -19,7 +20,9 @@ from tensorhull.exactmath import (
 from tensorhull.exactmath import _contract_equalities
 from helpers import (
     brute_lp_feasible,
+    dense,
     dense_check_farkas,
+    integer_rows,
     plain_rank,
     random_rational_matrix,
     reference_simplex,
@@ -40,8 +43,28 @@ def test_rank_proportional_rows():
 def test_rank_empty():
     assert rat_rank(sparse(RatMatrix(0, 0, []))) == 0
     assert rat_rank(sparse(RatMatrix.zeros(3, 2))) == 0
-    # stored zeros are not entries: {0: 0, 1: 0} must not join columns 0, 1
-    assert rat_rank(SparseMatrix(2, 2, [{0: 0, 1: 0}, {0: 1}])) == 1
+    # a stored zero is refused: {0: 0, 1: 0} read as v (e_0 - e_1) would
+    # join columns 0 and 1
+    with pytest.raises(TypeError):
+        rat_rank(SparseMatrix(2, 2, [{0: 0, 1: 0}, {0: 1}]))
+
+
+def _never(*args):
+    raise AssertionError("an elimination or pivot started")
+
+
+@pytest.mark.parametrize("row", [{0: Fraction(1, 2)}, {0: Fraction(2)},
+                                 {0: True}, {0: 1, 1: 0}])
+def test_kernels_refuse_rows_that_are_not_nonzero_ints(row, monkeypatch):
+    # the exact kernels read rows as they are, so a Fraction, a bool or a
+    # stored zero must raise before any elimination or pivot
+    for name in ("_contract_equalities", "_bareiss_rank", "_simplex_index",
+                 "_phase1_simplex"):
+        monkeypatch.setattr(exactmath, name, _never)
+    with pytest.raises(TypeError):
+        rat_rank(SparseMatrix(2, 2, [row, {0: 1}]))
+    with pytest.raises(TypeError):
+        lp_feasible(SparseMatrix(2, 2, [row, {0: 1}]), [1, 1])
 
 
 def test_rank_matches_plain_elimination():
@@ -49,8 +72,8 @@ def test_rank_matches_plain_elimination():
     for _ in range(60):
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
-        m = random_rational_matrix(rng, rows, cols)
-        assert rat_rank(sparse(m)) == plain_rank(m)
+        m = integer_rows(random_rational_matrix(rng, rows, cols))
+        assert rat_rank(m) == plain_rank(m)
     # int entries past float precision: the oracle must stay exact on them
     big = RatMatrix(2, 2, [[1, 2**60], [1, 2**60 + 1]])
     assert rat_rank(sparse(big)) == plain_rank(big) == 2
@@ -73,8 +96,8 @@ def test_rank_of_low_rank_products_matches_plain_elimination(max_den):
         low = _product(random_rational_matrix(rng, rows, inner, max_den=max_den),
                        random_rational_matrix(rng, inner, cols, max_den=max_den))
         for m in (random_rational_matrix(rng, rows, cols, max_den=max_den), low):
-            expected = plain_rank(m)
-            assert rat_rank(sparse(m)) == expected
+            m = integer_rows(m)
+            assert rat_rank(m) == plain_rank(m)
 
 
 @pytest.mark.parametrize("rows, rank", [
@@ -131,10 +154,10 @@ def _planted_equalities(rng, cols):
 def test_rank_with_planted_equality_rows_matches_plain_elimination():
     rng = random.Random(23)
     for _ in range(120):
-        m = _planted_equalities(rng, rng.randint(2, 9))
-        _, k, _ = _contract_equalities(sparse(m).data, m.cols)
+        m = integer_rows(_planted_equalities(rng, rng.randint(2, 9)))
+        _, k, _ = _contract_equalities(m.data, m.cols)
         assert k < m.cols
-        assert rat_rank(sparse(m)) == plain_rank(m)
+        assert rat_rank(m) == plain_rank(m)
     # the last row cancels within the one class: its columns must be summed
     m = RatMatrix.from_rows([[1, -1, 0], [0, 1, -1], [1, 1, -2]])
     assert rat_rank(sparse(m)) == plain_rank(m) == 2
@@ -172,7 +195,7 @@ def test_rank_transpose_invariant():
     for _ in range(40):
         m = random_rational_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
         mt = RatMatrix(m.cols, m.rows, [list(col) for col in zip(*m.data)])
-        assert rat_rank(sparse(m)) == rat_rank(sparse(mt))
+        assert rat_rank(integer_rows(m)) == rat_rank(integer_rows(mt))
 
 
 def test_rank_row_scaling_and_permutation_invariant():
@@ -187,8 +210,8 @@ def test_rank_row_scaling_and_permutation_invariant():
             for j in range(len(row)):
                 row[j] *= f
         rng.shuffle(scaled)
-        assert rat_rank(sparse(m)) == rat_rank(
-            sparse(RatMatrix(m.rows, m.cols, scaled)))
+        assert rat_rank(integer_rows(m)) == rat_rank(
+            integer_rows(RatMatrix(m.rows, m.cols, scaled)))
 
 
 def test_lp_trivial_feasible():
@@ -229,7 +252,7 @@ def test_lp_random_feasible_roundtrip():
         c = random_rational_matrix(rng, rows, cols)
         x = [Fraction(rng.randint(0, 5), rng.randint(1, 4)) for _ in range(cols)]
         d = c.matvec(x)
-        res = lp_feasible(sparse(c), d)
+        res = lp_feasible(*integer_rows(c, d))
         assert res.status == FEASIBLE
         assert c.matvec(res.witness) == d
         assert all(v >= 0 for v in res.witness)
@@ -243,19 +266,20 @@ def test_lp_random_certificates_verify():
         cols = rng.randint(1, 5)
         c = random_rational_matrix(rng, rows, cols)
         d = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rows)]
-        res = lp_feasible(sparse(c), d)
+        ci, di = integer_rows(c, d)
+        res = lp_feasible(ci, di)
         if res.status == FEASIBLE:
             assert c.matvec(res.witness) == d
             assert all(v >= 0 for v in res.witness)
         else:
             infeasible_seen += 1
-            assert check_farkas(sparse(c), d, res.farkas)
+            assert check_farkas(ci, di, res.farkas)
     assert infeasible_seen > 0
 
 
 def test_lp_deterministic():
     rng = random.Random(13)
-    c = sparse(random_rational_matrix(rng, 4, 6))
+    c = integer_rows(random_rational_matrix(rng, 4, 6))
     d = [Fraction(v) for v in (1, 0, 2, 1)]
     first = lp_feasible(c, d)
     second = lp_feasible(c, d)
@@ -315,8 +339,10 @@ def test_lp_status_matches_basis_enumeration():
     rng = random.Random(2024)
     seen = {FEASIBLE: 0, INFEASIBLE: 0}
     for trial in range(240):
-        c, d = _degenerate_system(rng, DEGENERATE_KINDS[trial % 6])
-        res = lp_feasible(sparse(c), d)
+        system = _degenerate_system(rng, DEGENERATE_KINDS[trial % 6])
+        ci, d = integer_rows(*system)
+        c = dense(ci)
+        res = lp_feasible(ci, d)
         assert res.feasible == brute_lp_feasible(c, d), (trial, c.data, d)
         # The revised simplex takes the dense tableau's pivots, so it returns
         # the same witness or Farkas vector.
@@ -327,27 +353,29 @@ def test_lp_status_matches_basis_enumeration():
 
 
 def test_lp_on_one_matrix_matches_a_fresh_copy():
-    # lp_feasible keeps C's integer rows and column index on the matrix; a
-    # matrix solved for several d must answer each as a fresh copy does,
-    # and as the dense reference tableau does, Fraction rows included.
+    # lp_feasible keeps C's column index on the matrix; a matrix solved for
+    # several d must answer each as a fresh copy does, and as the dense
+    # reference tableau does.
     rng = random.Random(2027)
     seen = set()
     for trial in range(120):
         c, d = _degenerate_system(rng, DEGENERATE_KINDS[trial % 6])
-        kept = sparse(c)
+        kept = integer_rows(c)
         others = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
                    for _ in d] for _ in range(3)]
         for rhs in (d, *others, d):
-            res, fresh = lp_feasible(kept, rhs), lp_feasible(sparse(c), rhs)
+            fresh, rhs = integer_rows(c, rhs)
+            res, again = lp_feasible(kept, rhs), lp_feasible(fresh, rhs)
             assert (res.status, res.witness, res.farkas) == (
-                fresh.status, fresh.witness, fresh.farkas), (trial, rhs)
+                again.status, again.witness, again.farkas), (trial, rhs)
             out = res.witness if res.feasible else res.farkas
-            assert (res.status, out) == reference_simplex(c, rhs), trial
+            assert (res.status, out) == reference_simplex(dense(kept),
+                                                          rhs), trial
             seen.add(res.status)
-        # An all-int row is kept as the matrix's own dict.
-        rows = kept._simplex[1]
-        assert all(row is mine for row, mine in zip(rows, kept.data)
-                   if all(type(v) is int for v in mine.values()))
+        # Column j of the index lists the (row, value) of its nonzeros.
+        assert kept._simplex == [
+            [(i, row[j]) for i, row in enumerate(kept.data) if j in row]
+            for j in range(kept.cols)]
     assert seen == {FEASIBLE, INFEASIBLE}
 
 
@@ -360,15 +388,17 @@ def test_check_farkas_matches_dense_oracle():
     yrng = random.Random(2025)
     verdicts = set()
     for trial in range(240):
-        c, d = _degenerate_system(rng, DEGENERATE_KINDS[trial % 6])
-        res = lp_feasible(sparse(c), d)
+        system = _degenerate_system(rng, DEGENERATE_KINDS[trial % 6])
+        ci, d = integer_rows(*system)
+        c = dense(ci)
+        res = lp_feasible(ci, d)
         y = res.farkas or [Fraction(yrng.randint(-3, 3), yrng.randint(1, 3))
                            for _ in range(c.rows)]
         perturbed = list(y)
         perturbed[yrng.randrange(c.rows)] += Fraction(yrng.choice((-1, 1)),
                                                       yrng.randint(1, 4))
         for vector in (y, perturbed):
-            verdict = check_farkas(sparse(c), d, vector)
+            verdict = check_farkas(ci, d, vector)
             assert verdict == dense_check_farkas(c, d, vector), (trial, vector)
             verdicts.add((res.feasible, vector is y, verdict))
     # Every Farkas vector passes, and some perturbations break one.

@@ -57,6 +57,7 @@ from helpers import (
     dense_check_farkas,
     dense_column_submatrix,
     dense_grouped_system,
+    literal_phi_constraints,
     plain_residuals,
     random_doubly_stochastic,
     random_permutation,
@@ -184,8 +185,9 @@ def test_phi_contains_negative_entry():
 @pytest.mark.parametrize("n", [3, 4])
 def test_phi_contains_matches_plain_residuals(n, strict):
     # members perturbed at a few cells by 1/4, 1/6 or 1/10 of either sign,
-    # some of which turn negative; both reports must match the Fraction loop
-    phi = build_phi_constraints(n, strict)
+    # some of which turn negative; both reports must match the Fraction loop,
+    # under the library's reading and the literal one
+    phi = literal_phi_constraints(n) if strict else build_phi_constraints(n)
     rng = random.Random(31 * n + strict)
     nn = n * n
     for _ in range(12):
@@ -1179,7 +1181,7 @@ def test_admissible_pairs_rejects_wrong_shape():
 def test_strict_families_variant():
     for n in (2, 3, 4):
         default = build_phi_constraints(n)
-        strict = build_phi_constraints(n, strict_families=True)
+        strict = literal_phi_constraints(n)
         assert default.nrows == strict.nrows
         rng = random.Random(49 + n)
         members = [kron(random_permutation(rng, n), random_permutation(rng, n)),
@@ -1201,7 +1203,7 @@ def test_family_readings_define_the_same_affine_space(n, rank):
                 for row, rhs in zip(sys.rows, sys.d)]
 
     default = augmented(build_phi_constraints(n))
-    strict = augmented(build_phi_constraints(n, strict_families=True))
+    strict = augmented(literal_phi_constraints(n))
     cols = n ** 4 + 1
     assert rat_rank(SparseMatrix(len(default), cols, default)) == rank
     assert rat_rank(SparseMatrix(len(strict), cols, strict)) == rank
@@ -1249,8 +1251,8 @@ def test_dense_matrix_matches_sparse_rows():
 def test_column_submatrix_matches_dense_oracle(n, strict):
     # the sparse rows restricted to T's support, column cols[j] renumbered
     # j, are the dense oracle's rows with the zeros left out; so are those
-    # of an unsorted column list and of the empty one
-    sys = build_phi_constraints(n, strict)
+    # of an unsorted column list and of the empty one, under either reading
+    sys = literal_phi_constraints(n) if strict else build_phi_constraints(n)
     supp = support_columns(build_T(n, random_permutation(
         random.Random(70 + n), n)))
     shuffled = random.Random(n).sample(range(sys.ncols), 3 * n)
