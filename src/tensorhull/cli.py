@@ -143,6 +143,7 @@ def _summary_table(reports) -> str:
 
 
 def cmd_verify_all(args) -> int:
+    polytopes.check_phi_size(args.n)
     if args.lp:
         polytopes.check_lp_size(args.n, factorial(args.n) ** 2)
     if args.all_sigmas:
@@ -175,15 +176,17 @@ def cmd_verify_all(args) -> int:
 
 
 def _load_square_matrix(path: str, n: int):
+    nn = n * n
     try:
-        with open(path) as fh:
-            m = parse_matrix(fh.read())
+        with open(path) as fh:  # the 'rows cols' header, before any entry
+            head = next(filter(str.strip, fh), "")
+            dims = head.split()
+            if len(dims) == 2 and (dims := [*map(int, dims)]) != [nn, nn]:
+                raise UsageError(
+                    f"matrix is {dims[0]}x{dims[1]}, expected {nn}x{nn}")
+            return parse_matrix(head + fh.read())
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read matrix from {path}: {exc}") from exc
-    if m.rows != n * n or m.cols != n * n:
-        raise UsageError(
-            f"matrix is {m.rows}x{m.cols}, expected {n * n}x{n * n}")
-    return m
 
 
 def cmd_psi_oracle(args) -> int:
@@ -235,6 +238,7 @@ def cmd_psi_oracle(args) -> int:
 
 
 def cmd_phi_check(args) -> int:
+    polytopes.check_phi_size(args.n)
     m = _load_square_matrix(args.matrix, args.n)
     sys_ = polytopes.build_phi_constraints(args.n)
     check = polytopes.phi_contains(m, sys_)

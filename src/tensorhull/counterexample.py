@@ -22,8 +22,8 @@ from .circulants import build_A, build_B, exists_PQ
 from .exactmath import RatMatrix
 from .permutations import Permutation, is_counterexample_sigma
 from .polytopes import (admissible_pairs, build_phi_constraints,
-                        check_lp_size, class_psi_contains, phi_contains,
-                        phi_support_rank)
+                        check_lp_size, check_phi_size, class_psi_contains,
+                        phi_contains, phi_support_rank)
 
 LP_DEFAULT_CAP = 4
 
@@ -193,13 +193,14 @@ def full_verification(n: int, sigma: Permutation,
     """Run every stage for one (n, sigma) and return the complete report.
 
     No stage is skipped silently: the LP stage records 'skipped' when not
-    run (default for n > 4), and an LP over check_lp_size's cap is refused
-    before the first stage.  A sigma that passes the admissibility filter
-    but fails any later stage raises a red flag in the report; it is never
-    reconciled away.
+    run (default for n > 4), and a Phi system over check_phi_size's cap or
+    an LP over check_lp_size's cap is refused before the first stage.  A
+    sigma that passes the admissibility filter but fails any later stage
+    raises a red flag in the report; it is never reconciled away.
     """
     if sigma.n != n:
         raise ValueError("sigma size does not match n")
+    check_phi_size(n)
     if run_lp is None:
         run_lp = n <= LP_DEFAULT_CAP
     if run_lp:

@@ -2,7 +2,9 @@
 
 ``Phi`` is the linearly constrained relaxation: doubly stochastic matrices,
 indexed by pairs ((i,k),(j,l)), that additionally satisfy four families of
-partial-sum balance equations.  ``Psi`` is the convex hull of all Kronecker
+partial-sum balance equations; its rows are read by column, so membership
+and the support rank visit only the rows that the input's nonzeros reach.
+``Psi`` is the convex hull of all Kronecker
 products A (x) B of two n x n doubly stochastic matrices; its extreme points
 are exactly the products P (x) Q of permutation matrices, so membership in
 Psi is a finite, exactly solvable LP over the n!^2 Kronecker vertices.  Its
@@ -18,10 +20,10 @@ the flat variable index flat(i,k)*n^2 + flat(j,l).
 """
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, compress, product
 from math import factorial
 from operator import mul
 
@@ -64,13 +66,15 @@ class ConstraintSystem:
 
     Rows are stored sparsely as {flat variable index: integer coefficient}
     and d holds ints; a column_submatrix holds the same ints, as a
-    SparseMatrix.
+    SparseMatrix.  The column index (column_rows) is built once, on first use.
     """
 
     n: int
     rows: list
     d: list
     labels: list
+    _holders: tuple | None = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     @property
     def nrows(self) -> int:
@@ -80,13 +84,26 @@ class ConstraintSystem:
     def ncols(self) -> int:
         return self.n ** 4
 
+    def column_rows(self) -> tuple:
+        """Per column, a tuple of the numbers of the rows that hold it."""
+        if self._holders is None:
+            holders = [[] for _ in range(self.ncols)]
+            for r, row in enumerate(self.rows):
+                for c in row:
+                    holders[c].append(r)
+            self._holders = tuple(map(tuple, holders))
+        return self._holders
+
     def column_submatrix(self, cols) -> SparseMatrix:
         """The rows on the columns cols only, column cols[j] renumbered j."""
         pos = {c: j for j, c in enumerate(cols)}
         if len(pos) != len(cols):
             raise ValueError("duplicate column indices")
-        data = [{pos[c]: v for c, v in row.items() if c in pos}
-                for row in self.rows]
+        rows, holders = self.rows, self.column_rows()
+        data = [{} for _ in rows]
+        for c, j in pos.items():
+            for r in holders[c]:
+                data[r][j] = rows[r][c]
         return SparseMatrix(self.nrows, len(pos), data)
 
 
@@ -98,15 +115,18 @@ def build_phi_constraints(n: int) -> ConstraintSystem:
     balance rows each, every coefficient an int.  Families 3 and 4
     distinguish the inner index k (k=2..n with i,j free), mirroring families
     1 and 2.  The literal reading (i=2..n with j,k free) defines the same
-    affine space; the tests keep it as their reference.
+    affine space; the tests keep it as their reference.  Every row keys a
+    column on one shared int, and check_phi_size runs first.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    check_phi_size(n)
     ti = TensorIndex(n)
+    key = list(range(n ** 4)).__getitem__  # one shared int per column
     rows, d, labels = [], [], []
 
     def add(row: dict, rhs: int, label: str):
-        rows.append({c: v for c, v in row.items() if v})
+        rows.append({key(c): v for c, v in row.items() if v})
         d.append(rhs)
         labels.append(label)
 
@@ -152,6 +172,15 @@ def build_phi_constraints(n: int) -> ConstraintSystem:
     return ConstraintSystem(n, rows, d, labels)
 
 
+def check_phi_size(n: int):
+    """Refuse a Phi system above the n = 32 one (8 s and 757 MB for verify):
+    n^2 entries per sum row, 2n in families 1 and 3, 2n - 2 in 2 and 4."""
+    if n > 32:
+        entries = 2 * n ** 4 + 4 * n ** 3 * (n - 1) + 4 * (n * n - n) ** 2
+        raise ValueError(f"the Phi system at n={n} has {entries} entries, "
+                         "more than the n=32 one (10096640)")
+
+
 @dataclass
 class PhiCheck:
     """Outcome of a Phi membership test with per-row diagnostics."""
@@ -167,23 +196,27 @@ class PhiCheck:
 def phi_contains(c: RatMatrix, sys: ConstraintSystem) -> PhiCheck:
     """Exact membership: entries >= 0 and every labeled row at zero residual.
 
-    c's entries are scaled to ints by the lcm L of their denominators, a
-    positive factor that keeps every sign; each row's residual
-    C_r . x - d_r is then L times an integer sum, reported as a Fraction.
+    Row r's sum starts at -d_r L, and c's nonzero entries, scaled to ints by
+    the lcm L of their denominators (a positive factor that keeps every
+    sign), are added into the rows that hold their columns (column_rows); a
+    nonzero sum is L times the residual C_r . x - d_r, reported as a Fraction.
     """
     n = sys.n
     nn = n * n
     if c.rows != nn or c.cols != nn:
         raise ValueError(f"matrix must be {nn} x {nn}")
     ti = TensorIndex(n)
-    mult, xs = clear_denominators([v for row in c.data for v in row])
+    cols = support_columns(c)
+    mult, xs = clear_denominators([c.data[f // nn][f % nn] for f in cols])
     negative = [(*ti.pair(f // nn), *ti.pair(f % nn))
-                for f, v in enumerate(xs) if v < 0]
-    violations = []
-    for row, rhs, label in zip(sys.rows, sys.d, sys.labels):
-        r = sum(map(mul, map(xs.__getitem__, row), row.values())) - rhs * mult
-        if r:
-            violations.append((label, Fraction(r, mult)))
+                for f, x in zip(cols, xs) if x < 0]
+    rows, holders = sys.rows, sys.column_rows()
+    acc = [-rhs * mult for rhs in sys.d]
+    for f, x in zip(cols, xs):
+        for r in holders[f]:
+            acc[r] += rows[r][f] * x
+    violations = [(label, Fraction(r, mult))
+                  for label, r in zip(sys.labels, acc) if r]
     return PhiCheck(not negative and not violations, negative, violations)
 
 
@@ -213,8 +246,8 @@ def kron_support(p: Permutation, q: Permutation):
 
 def support_columns(c: RatMatrix):
     """Flat variable indices of the nonzero entries of c."""
-    return [rf * c.cols + cf
-            for rf in range(c.rows) for cf in range(c.cols) if c.data[rf][cf]]
+    return [rf * c.cols + cf for rf, row in enumerate(c.data)
+            for cf in compress(range(c.cols), row)]
 
 
 def phi_support_rank(c: RatMatrix, sys: ConstraintSystem) -> tuple[int, int]:
@@ -303,8 +336,9 @@ def admissible_pairs(c: RatMatrix, n: int):
         raise ValueError(f"matrix must be {nn} x {nn}")
     rng = range(n)
     # masks[i][j][k]: bit l is set iff c[(i,k),(j,l)] is nonzero.
-    masks = [[[sum(1 << l for l in rng if c.data[n * i + k][n * j + l])
-               for k in rng] for j in rng] for i in rng]
+    masks = [[[0] * n for _ in rng] for _ in rng]
+    for v in support_columns(c):  # v = n^3 i + n^2 k + n j + l
+        masks[v // n ** 3][v // n % n][v // nn % n] |= 1 << v % n
     found = []  # (p image, open masks) of every complete p
 
     def qs(open_, k, used):
@@ -546,8 +580,7 @@ def psi_contains(c: RatMatrix, n: int,
     """
     scaled = _checked_rhs(c, n)
     if mode == SUPPORT_FILTERED:
-        pairs = admissible_pairs(c, n)
-        check_lp_size(n, len(pairs))
+        pairs = admissible_pairs(c, n)  # refuses more than the cap allows
         supports = [kron_support(p, q) for p, q in pairs]
         rungs = ((g, _grouped_rows(n, supports, g), None)
                  for g in (_reduced_groups(n), _canonical_groups(n)))

@@ -389,6 +389,15 @@ def dense_column_submatrix(sys, cols) -> RatMatrix:
     return RatMatrix(sys.nrows, len(cols), data)
 
 
+def row_scan_column_submatrix(sys, cols) -> SparseMatrix:
+    """ConstraintSystem.column_submatrix by a scan of every entry of every
+    row, keeping those on cols, column cols[j] renumbered j."""
+    pos = {c: j for j, c in enumerate(cols)}
+    data = [{pos[c]: v for c, v in row.items() if c in pos}
+            for row in sys.rows]
+    return SparseMatrix(sys.nrows, len(pos), data)
+
+
 def dense_grouped_system(mult: int, rhs, n: int, pairs, groups):
     """The grouped Psi LP data as dense rows: row r, column (p, q) counts the
     members of groups[r] in kron_support(p, q) + [n^4], written into a

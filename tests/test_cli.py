@@ -506,6 +506,85 @@ def test_phi_is_built_once_per_n(tmp_path, capsys):
     assert polytopes.build_phi_constraints.cache_info().currsize == 1
 
 
+def test_column_index_is_built_once_per_system(tmp_path, monkeypatch,
+                                               capsys):
+    # every phi_membership and phi_vertex stage and a phi-check read the
+    # index the first of them built on the cached system
+    from tensorhull import cli, counterexample, polytopes
+    from tensorhull.exactmath import format_matrix
+    from tensorhull.permutations import parse_permutation
+
+    sigmas = [parse_permutation(spec, 4) for spec in ("(3 4)", "(1 2 4)")]
+    path = tmp_path / "t.txt"
+    path.write_text(format_matrix(counterexample.build_T(4, sigmas[0])))
+    index = polytopes.ConstraintSystem.column_rows
+    builds = []
+
+    def counted(sys):
+        builds.append(sys._holders is None)
+        return index(sys)
+
+    monkeypatch.setattr(polytopes.ConstraintSystem, "column_rows", counted)
+    polytopes.build_phi_constraints.cache_clear()
+    assert polytopes.build_phi_constraints(4)._holders is None
+    for sigma in sigmas * 2:
+        counterexample.full_verification(4, sigma, run_lp=False)
+    assert cli.main(["phi-check", str(path), "--n", "4"]) == 0
+    assert builds == [True] + [False] * 8
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "33", "--sigma", "(3 4)", "--no-lp"],
+    ["verify-all", "--n", "33", "--no-lp", "--sn-cap", "40"],
+    ["phi-check", "{matrix}", "--n", "33"],
+])
+def test_phi_above_the_size_cap_fails_fast(monkeypatch, capsys, tmp_path,
+                                           argv):
+    from tensorhull import cli, counterexample, permutations, polytopes
+
+    def refuse(*args):
+        raise AssertionError("ran before the Phi size check")
+
+    for module, name in ((counterexample, "is_counterexample_sigma"),
+                         (counterexample, "build_A"),
+                         (counterexample, "build_T"),
+                         (polytopes, "TensorIndex"),
+                         (permutations, "admissible_sigmas"),
+                         (cli, "parse_matrix"),
+                         (cli, "_load_square_matrix")):
+        monkeypatch.setattr(module, name, refuse)
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("1 1\n1\n")
+    before = polytopes.build_phi_constraints.cache_info()
+    code = cli.main([arg.format(matrix=matrix) for arg in argv])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: the Phi system at n=33 has 11432322 entries, more than "
+        "the n=32 one (10096640)\n")
+    after = polytopes.build_phi_constraints.cache_info()
+    assert (after.currsize, after.misses) == (before.currsize, before.misses)
+    # the library refuses it too, before building a row
+    with pytest.raises(ValueError, match="n=33 has 11432322 entries"):
+        polytopes.build_phi_constraints(33)
+    polytopes.check_phi_size(32)
+
+
+@pytest.mark.parametrize("command", ["psi-oracle", "phi-check"])
+def test_matrix_header_is_checked_before_parsing(monkeypatch, capsys,
+                                                 tmp_path, command):
+    from tensorhull import cli
+
+    def refuse(text):
+        raise AssertionError("parsed entries before the header check")
+
+    monkeypatch.setattr(cli, "parse_matrix", refuse)
+    path = tmp_path / "m.txt"
+    path.write_text("\n9 16\n" + "0 " * 16 + "\nnot a row\n")
+    assert cli.main([command, str(path), "--n", "4"]) == 2
+    assert capsys.readouterr().err == (
+        "error: matrix is 9x16, expected 16x16\n")
+
+
 # The perturbed mix breaks rows with residuals like -1/6, so these bytes pin
 # how int coefficients and rhs mix with the Fraction entries of the input.
 @pytest.mark.parametrize("extra, fmt, golden", [

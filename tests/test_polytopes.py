@@ -26,6 +26,7 @@ from tensorhull.permutations import (
     parse_permutation,
 )
 from tensorhull.polytopes import (
+    ConstraintSystem,
     TensorIndex,
     admissible_pairs,
     all_pairs,
@@ -61,7 +62,9 @@ from helpers import (
     plain_residuals,
     random_doubly_stochastic,
     random_permutation,
+    random_rational_matrix,
     reference_simplex,
+    row_scan_column_submatrix,
     shift_pair,
     supports_verify_psi_farkas,
     tensor_product,
@@ -182,14 +185,17 @@ def test_phi_contains_negative_entry():
 
 
 @pytest.mark.parametrize("strict", [False, True])
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_phi_contains_matches_plain_residuals(n, strict):
     # members perturbed at a few cells by 1/4, 1/6 or 1/10 of either sign,
-    # some of which turn negative; both reports must match the Fraction loop,
-    # under the library's reading and the literal one
+    # some of which turn negative, then random rational matrices with a
+    # share of zeros and about half their nonzeros negative; both reports
+    # must match the Fraction loop over every entry of every row, under the
+    # library's reading and the literal one
     phi = literal_phi_constraints(n) if strict else build_phi_constraints(n)
     rng = random.Random(31 * n + strict)
     nn = n * n
+    matrices = []
     for _ in range(12):
         base = tensor_product(random_doubly_stochastic(rng, n),
                               random_doubly_stochastic(rng, n))
@@ -197,7 +203,14 @@ def test_phi_contains_matches_plain_residuals(n, strict):
         for _ in range(rng.randint(0, 4)):
             step = Fraction(rng.choice([-1, 1]), rng.choice([4, 6, 10]))
             data[rng.randrange(nn)][rng.randrange(nn)] += step
-        m = RatMatrix(nn, nn, data)
+        matrices.append(RatMatrix(nn, nn, data))
+    for density in (0.0, 0.05, 0.3, 0.7, 1.0):
+        m = random_rational_matrix(rng, nn, nn)
+        m.data = [[v if rng.random() < density else 0 for v in row]
+                  for row in m.data]
+        matrices.append(m)
+    for m in matrices:
+        data = m.data
         expected_violations = [(label, r) for label, r
                                in zip(phi.labels, plain_residuals(phi, m))
                                if r]
@@ -1085,12 +1098,18 @@ def test_psi_lp_size_cap(monkeypatch):
         psi_contains(uniform_matrix(6), 6, mode="full")
     with pytest.raises(ValueError, match="1297 x 518400"):
         class_psi_contains(build_T(6, parse_permutation("(5 6)", 6)), 6)
-    # A support-filtered LP over as many pairs is refused the same way
-    # (1297 x 6951 entries is one column over the cap).
-    monkeypatch.setattr(polytopes, "admissible_pairs",
-                        lambda c, n: [None] * 6951)
-    with pytest.raises(ValueError, match="1297 x 6951"):
-        psi_contains(uniform_matrix(6), 6)
+    # A support-filtered query checks its size once, in admissible_pairs
+    # before it lists a pair; the next test covers the refusal.
+    monkeypatch.undo()
+    checked = []
+    cap = polytopes.check_lp_size
+    monkeypatch.setattr(polytopes, "check_lp_size",
+                        lambda n, cols: checked.append(cols) or cap(n, cols))
+    for n, c in ((3, uniform_matrix(3)), (4, build_T(4, identity(4))),
+                 (4, build_T(4, parse_permutation("(3 4)", 4)))):
+        checked.clear()
+        result = psi_contains(c, n)
+        assert checked == [result.admissible_count] == [len(result.pairs)]
 
 
 def test_support_filtered_size_cap_counts_before_listing(monkeypatch):
@@ -1162,6 +1181,20 @@ def test_admissible_pairs_match_brute_scan():
                 [int(rng.random() < density) for _ in range(nn)]
                 for _ in range(nn)])))
     cases += [(n, uniform_matrix(n)) for n in (1, 2, 3, 4)]
+    # sparse: rational entries of either sign on a few Kronecker supports
+    # plus scattered cells, as only nonzero-ness counts
+    for n in (1, 2, 3, 4):
+        nn = n * n
+        for _ in range(15):
+            data = [[0] * nn for _ in range(nn)]
+            cells = [v for _ in range(rng.randint(0, 3))
+                     for v in kron_support(random_permutation(rng, n),
+                                           random_permutation(rng, n))]
+            cells += rng.sample(range(nn * nn), rng.randint(0, nn * n))
+            for v in cells:
+                data[v // nn][v % nn] = Fraction(
+                    rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+            cases.append((n, RatMatrix(nn, nn, data)))
     key = lambda pairs: [(p.image, q.image) for p, q in pairs]
     found = 0
     for n, c in cases:
@@ -1247,20 +1280,55 @@ def test_dense_matrix_matches_sparse_rows():
 
 
 @pytest.mark.parametrize("strict", [False, True])
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_column_submatrix_matches_dense_oracle(n, strict):
     # the sparse rows restricted to T's support, column cols[j] renumbered
-    # j, are the dense oracle's rows with the zeros left out; so are those
-    # of an unsorted column list and of the empty one, under either reading
+    # j, are the dense oracle's rows with the zeros left out, and the same
+    # dicts as a scan of every row's entries; so are those of unsorted,
+    # random, empty and full column lists, under either reading
     sys = literal_phi_constraints(n) if strict else build_phi_constraints(n)
+    rng = random.Random(n)
     supp = support_columns(build_T(n, random_permutation(
         random.Random(70 + n), n)))
-    shuffled = random.Random(n).sample(range(sys.ncols), 3 * n)
+    shuffled = rng.sample(range(sys.ncols), 3 * n)
     assert shuffled != sorted(shuffled)
-    for cols in (supp, shuffled, []):
+    lists = [supp, shuffled, [], range(sys.ncols),
+             rng.sample(range(sys.ncols), sys.ncols)]
+    for _ in range(4):
+        cols = rng.sample(range(sys.ncols), rng.randint(1, sys.ncols))
+        lists += [cols, sorted(cols)]
+    for cols in lists:
         sub = sys.column_submatrix(cols)
         assert dense(sub) == dense_column_submatrix(sys, cols)
+        assert sub.data == row_scan_column_submatrix(sys, cols).data
         assert all(0 not in row.values() for row in sub.data)
+
+
+def test_column_index_is_lazy_and_kept():
+    # the index is built by the first query, not when the system is made,
+    # and the same tuple serves every later phi_contains and
+    # column_submatrix; it holds, per column, the rows whose dict has it
+    sys = literal_phi_constraints(3)
+    assert sys._holders is None
+    holders = sys.column_rows()
+    assert holders == tuple(tuple(r for r, row in enumerate(sys.rows)
+                                  if c in row) for c in range(sys.ncols))
+    phi_contains(uniform_matrix(3), sys)
+    sys.column_submatrix([0, 5])
+    assert sys.column_rows() is holders is sys._holders
+    copy = ConstraintSystem(sys.n, sys.rows, sys.d, sys.labels)
+    assert copy == sys and copy._holders is None
+    assert "_holders" not in repr(copy)
+
+
+def test_phi_rows_share_one_int_per_column():
+    # every row keys a column on the same int object (at n = 5 most column
+    # numbers are above 256, past the ints Python keeps one copy of)
+    sys = build_phi_constraints(5)
+    keys = {}
+    for row in sys.rows:
+        for c in row:
+            assert keys.setdefault(c, c) is c
 
 
 def test_column_submatrix_refuses_duplicate_columns():
