@@ -200,8 +200,9 @@ def cmd_psi_oracle(args) -> int:
         total = sum(result.weights.values())
         verified = recon == m and total == 1
     else:
+        farkas = result.farkas
         canon, d = polytopes.membership_system(m, args.n, result.pairs)
-        verified = check_farkas(canon, d, result.farkas)
+        verified = check_farkas(canon, d, farkas)
     if not verified:
         print("internal error: certificate failed re-verification",
               file=sys.stderr)
@@ -219,7 +220,7 @@ def cmd_psi_oracle(args) -> int:
                 {"p": list(p), "q": list(q), "weight": str(w)}
                 for (p, q), w in sorted(result.weights.items())]
         else:
-            payload["farkas"] = [str(v) for v in result.farkas]
+            payload["farkas"] = [*map(str, farkas)]
         _emit(json.dumps(payload, indent=2) + "\n", args.output)
     else:
         lines = [f"in_psi: {result.in_psi} (mode {result.mode}, verified)"]
@@ -231,7 +232,7 @@ def cmd_psi_oracle(args) -> int:
                     f"  weight {w} on p={' '.join(map(str, p))} | "
                     f"q={' '.join(map(str, q))}")
         else:
-            nonzero = sum(1 for v in result.farkas if v)
+            nonzero = sum(map(bool, farkas))
             lines.append(f"  farkas certificate with {nonzero} nonzero rows")
         _emit("\n".join(lines) + "\n", args.output)
     return 0

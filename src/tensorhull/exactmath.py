@@ -13,7 +13,7 @@ simplex that keeps B^-1 of the basis B as sparse rows at positive scales;
 its witnesses and Farkas vectors are re-checked over the same rows, in ints.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, compress
 from math import gcd, lcm
@@ -190,18 +190,14 @@ def _contract_equalities(rows, ncols):
 
 
 def _bareiss_rank(sparse_rows, ncols) -> int:
-    """Exact rank by fraction-free (Bareiss) elimination over the integers."""
-    mat = []
-    for row in sparse_rows:
-        dense = [0] * ncols
-        for c, v in row.items():
-            dense[c] = v
-        mat.append(dense)
+    """Exact rank by fraction-free (Bareiss) elimination over the integers,
+    on sparse rows: each step gives the dense integers, on nonzeros only."""
+    mat = [row for row in sparse_rows if row]
     nrows = len(mat)
     prev = 1
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if mat[i][c]), None)
+        piv = next((i for i in range(r, nrows) if c in mat[i]), None)
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
@@ -209,14 +205,13 @@ def _bareiss_rank(sparse_rows, ncols) -> int:
         a = prow[c]
         for i in range(r + 1, nrows):
             row = mat[i]
-            b = row[c]
-            if b == 0:
-                if prev != 1:
-                    mat[i] = [(a * x) // prev for x in row]
-                elif a != 1:
-                    mat[i] = [a * x for x in row]
+            b = row.get(c)
+            if b is None:  # (a x - 0 y) / prev on row's own keys
+                if prev != 1 or a != 1:
+                    mat[i] = {k: a * x // prev for k, x in row.items()}
             else:
-                mat[i] = [(a * x - b * y) // prev for x, y in zip(row, prow)]
+                mat[i] = {k: v for k in row.keys() | prow.keys() if (v := (
+                    a * row.get(k, 0) - b * prow.get(k, 0)) // prev)}
         prev = a
         r += 1
         if r == nrows:
@@ -224,18 +219,34 @@ def _bareiss_rank(sparse_rows, ncols) -> int:
     return r
 
 
+def farkas_property():
+    """A read-only .farkas over an object's certificate (ints, scale): the
+    Fractions ints[i] / scale, built on first read and kept in _farkas."""
+    def farkas(self):
+        if self._farkas is None and self.certificate is not None:
+            ys, scale = self.certificate
+            self._farkas = [Fraction(v, scale) for v in ys]
+        return self._farkas
+    return property(farkas)
+
+
 @dataclass
 class Feasibility:
     """Outcome of an exact feasibility question {x >= 0 : Cx = d}.
 
-    Exactly one of witness/farkas is set.  A witness satisfies Cx = d, x >= 0;
-    a farkas vector y satisfies C'y >= 0 componentwise and d'y < 0, proving
-    emptiness.  Both are re-verified before being returned.
+    Exactly one of witness/certificate is set.  A witness satisfies Cx = d,
+    x >= 0; a Farkas vector y satisfies C'y >= 0 componentwise and d'y < 0,
+    proving emptiness.  certificate holds y as (ints, scale), y = ints /
+    scale with scale > 0, and farkas reads it as Fractions on first use.
+    Both are re-verified before being returned.
     """
 
     status: str
     witness: list | None = None
-    farkas: list | None = None
+    certificate: tuple | None = None
+    _farkas: list | None = field(default=None, init=False, repr=False,
+                                 compare=False)
+    farkas = farkas_property()
 
     @property
     def feasible(self) -> bool:
@@ -276,36 +287,44 @@ def check_farkas(c_matrix: SparseMatrix, d, y) -> bool:
     return min(acc, default=0) >= 0 and dty < 0
 
 
-def lp_feasible(c_matrix: SparseMatrix, d) -> Feasibility:
-    """Decide exactly whether {x >= 0 : Cx = d} is nonempty.
+def lp_feasible(c_matrix: SparseMatrix, d, scale: int = 1) -> Feasibility:
+    """Decide exactly whether {x >= 0 : Cx = d / scale} is nonempty.
 
-    Phase-1 revised simplex over the sparse rows of [C | d], scaled to
-    integers (see _phase1_simplex).  Entering column: most negative reduced
-    cost, ties broken by lowest index; leaving row: lexicographic ratio test
-    keyed on (rhs, artificial columns), which guarantees termination on
-    degenerate systems and makes the output deterministic.  The witness or
-    certificate is re-verified against the original data before returning.
+    d holds ints over the positive int scale; a d with any Fraction (or
+    '3/4') is cleared to ints first.  Phase-1 revised simplex over the
+    sparse rows of [C | d], scaled to integers (see _phase1_simplex).
+    Entering column: most negative reduced cost, ties broken by lowest
+    index; leaving row: lexicographic ratio test keyed on (rhs, artificial
+    columns), which guarantees termination on degenerate systems and makes
+    the output deterministic.  The witness is re-substituted into C on its
+    support, and the certificate (ints at the simplex's scale) goes through
+    check_farkas, before either is returned.
     """
     m, nvars = c_matrix.rows, c_matrix.cols
     if len(d) != m:
         raise ValueError("d length does not match row count of C")
-    d = [as_rational(v) for v in d]
-    status, x_or_y = _phase1_simplex(c_matrix.data, _simplex_index(c_matrix),
-                                     d, nvars)
+    if scale < 1:
+        raise ValueError("scale must be a positive int")
+    if not {int}.issuperset(map(type, d)):
+        mult, d = clear_denominators([as_rational(v) for v in d])
+        scale *= mult
+    status, out = _phase1_simplex(c_matrix.data, _simplex_index(c_matrix),
+                                  d, scale, nvars)
     if status == FEASIBLE:
-        x = x_or_y
+        x = out
         if any(v < 0 for v in x):
             raise AssertionError("simplex returned a negative witness entry")
-        # Cx = d with x scaled to ints by the lcm of its denominators.
-        mult, xs = clear_denominators(x)
-        if any(sum(map(mul, map(xs.__getitem__, row), row.values()))
+        # C x = d / scale, with x's nonzeros scaled to ints by their lcm.
+        support = [j for j, v in enumerate(x) if v]
+        mult, xs = clear_denominators([x[j] for j in support])
+        xs = dict(zip(support, xs))
+        if any(sum(row[j] * xs[j] for j in row.keys() & xs) * scale
                != di * mult for row, di in zip(c_matrix.data, d)):
             raise AssertionError("simplex witness failed re-substitution")
         return Feasibility(FEASIBLE, witness=x)
-    y = x_or_y
-    if not check_farkas(c_matrix, d, y):
+    if not check_farkas(c_matrix, d, out[0]):
         raise AssertionError("simplex certificate failed the farkas check")
-    return Feasibility(INFEASIBLE, farkas=y)
+    return Feasibility(INFEASIBLE, certificate=out)
 
 
 def _simplex_index(c_matrix: SparseMatrix):
@@ -323,14 +342,15 @@ def _simplex_index(c_matrix: SparseMatrix):
     return c_matrix._simplex
 
 
-def _phase1_simplex(arows, cols, d, nvars):
-    """Phase-1 revised simplex over integer data; returns (status, x or y).
+def _phase1_simplex(arows, cols, d, scale, nvars):
+    """Phase-1 revised simplex over integer data: (FEASIBLE, x), x's
+    entries Fractions, or (INFEASIBLE, (ints, zscale)), Farkas y = ints/zscale.
 
-    arows are the integer rows of C and cols its _simplex_index.  Row i of
-    [C | d] is scaled to integers with rhs >= 0 by mults[i], den d_i with
-    the sign of d_i.  An artificial column e_i is added, so the first basis
-    is the artificials and the tableau is always B^-1 [A | I | b].  Only two
-    parts of it are kept:
+    arows are the integer rows of C, cols its _simplex_index, and d / scale
+    the rhs.  Row i of [C | d / scale] is scaled to integers with rhs >= 0
+    by mults[i], den(d_i / scale) with the sign of d_i.  An artificial
+    column e_i is added, so the first basis is the artificials and the
+    tableau is always B^-1 [A | I | b].  Only two parts of it are kept:
 
     - binv[i], row i of [B^-1 | B^-1 b] as a sparse {column: int} (the rhs
       under key m), held at its own positive scale;
@@ -349,8 +369,9 @@ def _phase1_simplex(arows, cols, d, nvars):
     if m == 0:
         return FEASIBLE, [0] * nvars
     # Flip signs so rhs >= 0; mults[i] maps certificates back to row i of C.
-    mults = [-di.denominator if di < 0 else di.denominator for di in d]
-    rhs = [abs(di.numerator) for di in d]
+    gs = [gcd(di, scale) for di in d]
+    mults = [(-scale if di < 0 else scale) // g for di, g in zip(d, gs)]
+    rhs = [abs(di) // g for di, g in zip(d, gs)]
     binv = [{i: 1, m: b} if b else {i: 1} for i, b in enumerate(rhs)]
     holders = [{i} for i in range(m)]  # holders[k]: rows i with k in binv[i]
     # Phase-1 reduced costs, zc on the structural columns (0 - the column
@@ -445,9 +466,9 @@ def _phase1_simplex(arows, cols, d, nvars):
         return FEASIBLE, x
     # Positive phase-1 objective: read the dual off the artificial columns.
     # For artificial i the reduced cost is 1 - y_i, so y_i = 1 - z_i/zscale;
-    # the farkas vector is -y mapped through the row scaling.
-    return INFEASIBLE, [(Fraction(za[i], zscale) - 1) * mults[i]
-                        for i in range(m)]
+    # the farkas vector is -y mapped through the row scaling, at zscale.
+    return INFEASIBLE, ([(za[i] - zscale) * mults[i] for i in range(m)],
+                        zscale)
 
 
 def _least_ratio(cands, k, binv, col):

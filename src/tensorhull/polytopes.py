@@ -28,7 +28,7 @@ from math import factorial
 from operator import mul
 
 from .exactmath import (RatMatrix, SparseMatrix, clear_denominators,
-                        lp_feasible, rat_rank)
+                        farkas_property, lp_feasible, rat_rank)
 from .permutations import Permutation, all_permutations
 
 SUPPORT_FILTERED = "support_filtered"
@@ -286,17 +286,21 @@ class MembershipResult:
 
     When in_psi, ``weights`` maps (p image, q image) tuples to positive
     weights that sum to 1 and reconstruct the input exactly.  Otherwise
-    ``farkas`` is a certificate over the canonical system rows (the n^4
-    entry equations followed by the weight normalization row), valid for the
-    column set in ``pairs`` and re-checked before being returned.
+    ``certificate`` is a Farkas vector over the canonical system rows (the
+    n^4 entry equations followed by the weight normalization row) as (ints,
+    scale), valid for the column set in ``pairs`` and re-checked before
+    being returned; ``farkas`` reads it as Fractions, built on first read.
     """
 
     in_psi: bool
     mode: str
     pairs: list
     weights: dict | None = None
-    farkas: list | None = None
+    certificate: tuple | None = None
     admissible_count: int | None = None
+    _farkas: list | None = field(default=None, init=False, repr=False,
+                                 compare=False)
+    farkas = farkas_property()
 
 
 def all_pairs(n: int):
@@ -378,7 +382,7 @@ def admissible_pairs(c: RatMatrix, n: int):
 def membership_system(c: RatMatrix, n: int, pairs) -> tuple[SparseMatrix, list]:
     """The canonical LP data: one row per entry of c plus the sum-to-1 row.
 
-    The coefficients are ones, held sparsely; d holds the entries of c and 1.
+    The coefficients are ones, held sparsely; d is c's own entries and 1.
     Exactly the pairs of all_pairs(n), in its order, share the rows of
     the canonical _full_rung(n, True); any other list gets rows of its own.
     """
@@ -387,7 +391,7 @@ def membership_system(c: RatMatrix, n: int, pairs) -> tuple[SparseMatrix, list]:
         rows = _full_rung(n, True)[1]
     else:
         rows = _grouped_rows(n, [kron_support(p, q) for p, q in pairs], groups)
-    return rows, _grouped_rhs(*_scaled_rhs(c), groups)
+    return rows, [*chain.from_iterable(c.data), 1]
 
 
 def weights_reconstruct(weights: dict, n: int) -> RatMatrix:
@@ -457,22 +461,22 @@ def _grouped_rows(n: int, supports, groups) -> SparseMatrix:
     return SparseMatrix(len(groups), cols, data)
 
 
-def _grouped_rhs(mult: int, rhs, groups):
-    """The rhs of _grouped_rows: d_r sums the canonical rhs over groups[r],
-    from its scaled ints rhs (see _scaled_rhs) and their factor mult."""
-    return [Fraction(sum(rhs[v] for v in group), mult) for group in groups]
+def _grouped_rhs(rhs, groups):
+    """The rhs of _grouped_rows as ints: d_r sums the canonical rhs over
+    groups[r], from its scaled ints rhs (see _scaled_rhs), so it keeps
+    their scale."""
+    return [sum(map(rhs.__getitem__, group)) for group in groups]
 
 
 def _lift_farkas(y, groups, n: int):
-    """A certificate over the canonical rows: each y_r added onto its group,
-    in ints at the lcm of y's denominators."""
-    mult, ys = clear_denominators(y)
+    """A certificate over the canonical rows, from the ints y of one over
+    the grouped rows: each y_r added onto its group, at y's scale."""
     out = [0] * (n ** 4 + 1)
-    for yr, group in zip(ys, groups):
+    for yr, group in zip(y, groups):
         if yr:
             for v in group:
                 out[v] += yr
-    return [Fraction(v, mult) for v in out]
+    return out
 
 
 def _support_sums(n: int, pairs, y):
@@ -481,17 +485,19 @@ def _support_sums(n: int, pairs, y):
     Per p, w[k][l] = sum_i y[(i,k),(p(i),l)] is summed once (l 1-based),
     and the sum at (p, q) is then sum_k w[k][q(k)]; a run of pairs sharing
     one p object, as all_pairs and admissible_pairs list them, shares w.
+    The slices y[(i,k),(j,1..n)] of a block (i, j) are cut once per y.
     """
     nn = n * n
+    blocks = {}
     last = None
     for p, q in pairs:
         if p is not last:
             last = p
-            # blocks[i][k] is the slice y[(i,k),(p(i),1..n)]; w[k][0] is unused
-            blocks = [[y[a + k * nn:a + k * nn + n] for k in range(n)]
-                      for a in (n * (i * nn + pi - 1)
-                                for i, pi in enumerate(p.image))]
-            w = [[0, *map(sum, zip(*rows))] for rows in zip(*blocks)]
+            picked = [blocks.get(a) or blocks.setdefault(
+                a, [y[b:b + n] for b in range(a, a + n * nn, nn)])
+                for a in (n * (i * nn + pi - 1)
+                          for i, pi in enumerate(p.image))]
+            w = [[0, *map(sum, zip(*rows))] for rows in zip(*picked)]
         yield sum(map(list.__getitem__, w, q.image))
 
 
@@ -500,14 +506,13 @@ def _verify_psi_farkas(rhs, n: int, pairs, y) -> bool:
     C'y at (p, q) is y_0 plus y summed over kron_support(p, q), and an
     empty pair list has no column to check.
 
-    rhs is the canonical rhs scaled to ints (see _scaled_rhs) and y is
-    scaled to ints by the lcm of its denominators; both factors are
-    positive, so every sign is kept.
+    rhs is the canonical rhs scaled to ints (see _scaled_rhs) and y is a
+    certificate's ints at its scale; both scales are positive, so every
+    sign is kept (any exact rationals y are read as they are).
     """
-    _, ys = clear_denominators(y)
-    y0 = ys[n ** 4]
-    return (min(_support_sums(n, pairs, ys), default=-y0) >= -y0
-            and sum(map(mul, rhs, ys)) < 0)
+    y0 = y[n ** 4]
+    return (min(_support_sums(n, pairs, y), default=-y0) >= -y0
+            and sum(map(mul, rhs, y)) < 0)
 
 
 def check_lp_size(n: int, cols: int):
@@ -544,7 +549,7 @@ def _decide(c: RatMatrix, n: int, mode: str, pairs, rungs, scaled,
     """
     mult, rhs = scaled
     for groups, rows, members in rungs:
-        outcome = lp_feasible(rows, _grouped_rhs(mult, rhs, groups))
+        outcome = lp_feasible(rows, _grouped_rhs(rhs, groups), scale=mult)
         if outcome.feasible:
             weights = {(pairs[j][0].image, pairs[j][1].image):
                        Fraction(w, len(m)) for m, w in zip(
@@ -555,9 +560,11 @@ def _decide(c: RatMatrix, n: int, mode: str, pairs, rungs, scaled,
                 return MembershipResult(True, mode, pairs, weights=weights,
                                         admissible_count=admissible_count)
         else:
-            y = _lift_farkas(outcome.farkas, groups, n)
+            y, scale = outcome.certificate
+            y = _lift_farkas(y, groups, n)
             if _verify_psi_farkas(rhs, n, pairs, y):
-                return MembershipResult(False, mode, pairs, farkas=y,
+                return MembershipResult(False, mode, pairs,
+                                        certificate=(y, scale),
                                         admissible_count=admissible_count)
     raise AssertionError("the canonical Psi LP's answer failed its re-check")
 

@@ -400,6 +400,20 @@ def test_psi_oracle_full_mode_at_n5_takes_no_flag(tmp_path):
     assert "unrecognized arguments: --allow-large" in gone.stderr
 
 
+def test_psi_oracle_n6_transfer_matches_golden_bytes(tmp_path):
+    # T for (5 6) at n = 6 keeps no Kronecker vertex inside its support, so
+    # the support-filtered LP has 0 columns: the 677 reduced rows decide, and
+    # the lifted Farkas vector, golden here, spans all 1297 canonical rows
+    # that the CLI's re-check builds.
+    t6 = tmp_path / "t6.txt"
+    assert run_cli("build", "T", "--n", "6", "--sigma", "(5 6)",
+                   "--output", str(t6)).returncode == 0
+    result = run_cli("psi-oracle", str(t6), "--n", "6", "--format", "json")
+    assert result.returncode == 0
+    golden = GOLDEN / "psi_oracle_T_n6_s56_filtered.json"
+    assert result.stdout == golden.read_text()
+
+
 def test_psi_oracle_usage_errors(tmp_path):
     missing = run_cli("psi-oracle", str(tmp_path / "nope.txt"), "--n", "4")
     assert missing.returncode == 2

@@ -1,5 +1,6 @@
 """Exact matrices, rank, and the LP feasibility kernel."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -350,6 +351,112 @@ def test_lp_status_matches_basis_enumeration():
         assert (res.status, out) == reference_simplex(c, d), (trial, c.data, d)
         seen[res.status] += 1
     assert min(seen.values()) >= 40, seen
+
+
+def _ints_over(d, extra):
+    """(ints, scale) with ints / scale == d: scale is extra times the lcm of
+    d's denominators, so the ints share factors with it when extra > 1."""
+    scale = extra * math.lcm(*(Fraction(v).denominator for v in d))
+    return [int(Fraction(v) * scale) for v in d], scale
+
+
+def test_lp_integer_rhs_matches_fraction_rhs():
+    # The systems of test_lp_status_matches_basis_enumeration, with d given
+    # as ints over a scale (the lcm of its denominators, and 6 times it):
+    # the same status, witness and Farkas vector as for d as Fractions, and
+    # the dense reference tableau's.  The certificate is the Farkas vector
+    # in ints over one positive scale.
+    rng = random.Random(2024)
+    seen = set()
+    for trial in range(240):
+        system = _degenerate_system(rng, DEGENERATE_KINDS[trial % 6])
+        ci, d = integer_rows(*system)
+        want = lp_feasible(ci, d)
+        assert (want.status, want.witness if want.feasible else want.farkas
+                ) == reference_simplex(dense(ci), d), trial
+        for extra in (1, 6):
+            ints, scale = _ints_over(d, extra)
+            res = lp_feasible(ci, ints, scale=scale)
+            assert (res.status, res.witness, res.farkas) == (
+                want.status, want.witness, want.farkas), (trial, extra)
+            if not res.feasible:
+                ys, yscale = res.certificate
+                assert yscale > 0 and all(type(v) is int for v in ys)
+                assert [Fraction(v, yscale) for v in ys] == res.farkas
+        seen.add(res.status)
+    assert seen == {FEASIBLE, INFEASIBLE}
+
+
+def _corrupted_simplex(monkeypatch, corrupt):
+    """Make lp_feasible's simplex hand corrupt(status, answer) back."""
+    real = exactmath._phase1_simplex
+
+    def wrong(*args):
+        return corrupt(*real(*args))
+
+    monkeypatch.setattr(exactmath, "_phase1_simplex", wrong)
+
+
+# C has independent columns, so a witness that moves weight to another
+# column, even one outside its support, no longer gives Cx = d.
+SELF_CHECK_C = RatMatrix.from_rows([[1, 0, 1, 2], [0, 1, 1, 3]])
+
+
+@pytest.mark.parametrize("shift", [1, 2, 3])
+def test_lp_witness_moved_fails_resubstitution(monkeypatch, shift):
+    c, d = sparse(SELF_CHECK_C), [Fraction(1, 2), Fraction(3, 2)]
+    x = lp_feasible(c, d).witness
+    j = next(j for j, v in enumerate(x) if v)
+
+    def moved(status, x):
+        x = list(x)
+        x[(j + shift) % 4] += x[j]
+        x[j] = 0
+        return status, x
+
+    _corrupted_simplex(monkeypatch, moved)
+    with pytest.raises(AssertionError, match="re-substitution"):
+        lp_feasible(c, d)
+
+
+def test_lp_witness_negative_entry_fails(monkeypatch):
+    c, d = sparse(SELF_CHECK_C), [1, 2]
+
+    def negative(status, x):
+        return status, [*x[:3], Fraction(-1, 3)]
+
+    _corrupted_simplex(monkeypatch, negative)
+    with pytest.raises(AssertionError, match="negative witness entry"):
+        lp_feasible(c, d)
+
+
+@pytest.mark.parametrize("row, delta", [(0, -1), (1, -2), (1, 5)])
+def test_lp_farkas_perturbed_fails_the_check(monkeypatch, row, delta):
+    # {x >= 0 : x_0 + x_1 = 1, x_0 + 2 x_1 = 3} is empty; each perturbed
+    # certificate (delta times the scale, added at row) proves nothing.
+    c, d = sparse(RatMatrix.from_rows([[1, 1], [1, 2]])), [1, 3]
+    ys, scale = lp_feasible(c, d).certificate
+    bad = list(ys)
+    bad[row] += delta * scale
+    assert check_farkas(c, d, ys) and not check_farkas(c, d, bad)
+
+    def perturbed(status, certificate):
+        return status, (bad, scale)
+
+    _corrupted_simplex(monkeypatch, perturbed)
+    with pytest.raises(AssertionError, match="farkas check"):
+        lp_feasible(c, d)
+
+
+def test_lp_farkas_is_built_once_on_first_read():
+    c = sparse(RatMatrix.from_rows([[1, 1]]))
+    res = lp_feasible(c, [-3], scale=2)
+    assert res.certificate == ([2], 1)
+    assert res.farkas is res.farkas == [Fraction(2)]
+    with pytest.raises(AttributeError):
+        res.farkas = [Fraction(2)]
+    with pytest.raises(ValueError):
+        lp_feasible(c, [1], scale=0)
 
 
 def test_lp_on_one_matrix_matches_a_fresh_copy():

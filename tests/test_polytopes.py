@@ -80,8 +80,10 @@ def supports(pairs):
 
 
 def grouped_system(mult, rhs, n, supports, groups):
-    """The grouped LP data (rows, d), as one Psi LP query builds it."""
-    return _grouped_rows(n, supports, groups), _grouped_rhs(mult, rhs, groups)
+    """The grouped LP data (rows, d), as one Psi LP query builds it, with
+    its int rhs over mult read as the Fractions d."""
+    return _grouped_rows(n, supports, groups), [
+        Fraction(v, mult) for v in _grouped_rhs(rhs, groups)]
 
 
 def uniform_matrix(n: int) -> RatMatrix:
@@ -499,9 +501,9 @@ def lp_rows(monkeypatch):
 
     rows = []
 
-    def spy(c, d):
+    def spy(c, d, **kwargs):
         rows.append(c.rows)
-        return lp_feasible(c, d)
+        return lp_feasible(c, d, **kwargs)
 
     monkeypatch.setattr(polytopes, "lp_feasible", spy)
     return rows
@@ -989,17 +991,71 @@ def test_kept_psi_tables_answer_each_rhs_afresh():
         fresh = supports(all_pairs(n))
         for groups, kept, _ in map(_full_rung, (n, n), (False, True)):
             for c in mats:
-                d = _grouped_rhs(*_scaled_rhs(c), groups)
-                res = lp_feasible(kept, d)
-                again = lp_feasible(_grouped_rows(n, fresh, groups), d)
+                mult, rhs = _scaled_rhs(c)
+                d = _grouped_rhs(rhs, groups)
+                res = lp_feasible(kept, d, scale=mult)
+                again = lp_feasible(_grouped_rows(n, fresh, groups), d,
+                                    scale=mult)
                 assert (res.status, res.witness, res.farkas) == (
                     again.status, again.witness, again.farkas)
                 out = res.witness if res.feasible else res.farkas
                 if n == 3:
                     assert (res.status, out) == reference_simplex(
-                        dense(kept), d)
+                        dense(kept), [Fraction(v, mult) for v in d])
                 seen.add((n, res.status))
     assert len(seen) == 4
+
+
+def test_psi_lp_integer_rhs_matches_fraction_rhs():
+    # Seeded reduced and canonical systems over the support-filtered and
+    # all pairs, and the class system at n = 4: the ints of _grouped_rhs
+    # over the scale of _scaled_rhs give the answer that the same rhs as
+    # Fractions gives, status, witness and Farkas vector alike.
+    rng = random.Random(2029)
+    systems = []
+    for n in (3, 4):
+        mats = [build_T(n, random_permutation(rng, n)), vertex_mix(rng, n, 2),
+                vertex_mix(rng, n, 3), span_perturbed(rng, n)]
+        for c in mats:
+            for pairs in (admissible_pairs(c, n), all_pairs(n)):
+                for groups in (_reduced_groups(n), _canonical_groups(n)):
+                    systems.append((c, _grouped_rows(n, supports(pairs),
+                                                     groups), groups))
+    _, groups, _, system = _class_system(4)
+    systems += [(build_T(4, sigma), system, groups)
+                for sigma in all_permutations(4)]
+    seen = set()
+    for c, rows, groups in systems:
+        mult, rhs = _scaled_rhs(c)
+        d = _grouped_rhs(rhs, groups)
+        res = lp_feasible(rows, d, scale=mult)
+        want = lp_feasible(rows, [Fraction(v, mult) for v in d])
+        assert (res.status, res.witness, res.farkas) == (
+            want.status, want.witness, want.farkas)
+        seen.add(res.status)
+    assert seen == {"feasible", "infeasible"}
+
+
+def test_lp_verify_never_reads_farkas(monkeypatch):
+    # verify --lp keeps the class LP's certificate as ints: no Farkas
+    # vector is turned into Fractions, though the answer is a refutation.
+    from tensorhull import exactmath, polytopes
+    from tensorhull.counterexample import LP_INFEASIBLE, full_verification
+
+    reads = []
+    for owner in (exactmath.Feasibility, polytopes.MembershipResult):
+        real = owner.farkas
+
+        def spy(self, real=real):
+            reads.append(type(self).__name__)
+            return real.fget(self)
+
+        monkeypatch.setattr(owner, "farkas", property(spy))
+    report = full_verification(4, parse_permutation("(3 4)", 4), run_lp=True)
+    assert report.confirmed and report.lp_status == LP_INFEASIBLE
+    assert reads == []
+    res = class_psi_contains(build_T(4, parse_permutation("(3 4)", 4)), 4)
+    assert res.farkas is res.farkas and reads == ["MembershipResult"] * 2
 
 
 def test_psi_matches_direct_canonical_lp():
