@@ -8,6 +8,7 @@ stable machine format; text output is for humans.
 import argparse
 import functools
 import json
+import os
 import sys
 from math import factorial
 
@@ -154,7 +155,8 @@ def cmd_verify_all(args) -> int:
         sigmas = permutations.enumerate_counterexample_sigmas(
             args.n, args.sn_cap)
     jobs = [(args.n, s.image, args.lp) for s in sigmas]
-    workers = min(args.workers, len(jobs))
+    # each worker builds Phi, so more workers than CPUs only add memory
+    workers = min(args.workers, len(jobs), _cpu_count())
     if workers > 1:
         import multiprocessing  # ~13 ms to import, so only when pooling
         with multiprocessing.Pool(workers) as pool:
@@ -173,6 +175,13 @@ def cmd_verify_all(args) -> int:
               file=sys.stderr)
         return CHECK_FAILED
     return 0
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _load_square_matrix(path: str, n: int):
@@ -276,7 +285,8 @@ def _add_common(parser, *, sigma=False, lp=False, workers=False,
             help="run the full LP oracle (default: only for n <= 4)")
     if workers:
         parser.add_argument("--workers", type=int, default=1,
-                            help="parallel worker processes")
+                            help="parallel worker processes, at most one "
+                                 "per CPU this process may use")
     if sn_cap:
         parser.add_argument("--sn-cap", type=int,
                             default=permutations.DEFAULT_SN_CAP,

@@ -22,6 +22,11 @@ from operator import attrgetter, mul
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 
+# _phase1_simplex raises past this many pivots per row: its rule cannot cycle,
+# and no LP of the tests, CI or benchmark takes over 5.4 per row (1550 on 290
+# rows), so only a wrong update step gets there, and it fails, not hangs.
+PIVOTS_PER_ROW = 64
+
 
 def as_rational(value):
     """An exact scalar: ints and Fractions as they are, strings like '3/4'
@@ -74,12 +79,23 @@ class RatMatrix:
         return f"RatMatrix({self.rows}x{self.cols})"
 
     def matvec(self, x):
+        """The exact product: x's nonzeros cleared to ints once, then each row
+        summed on them over the lcm of its denominators there, so a row gives
+        an int or one Fraction, and a row of zeros there costs one any()."""
         if len(x) != self.cols:
             raise ValueError("vector length does not match column count")
         cols = list(compress(range(len(x)), x))
-        values = list(map(x.__getitem__, cols))
-        return [sum(map(mul, map(row.__getitem__, cols), values))
-                for row in self.data]
+        xmult, xs = clear_denominators(list(map(x.__getitem__, cols)))
+        out = []
+        for row in self.data:
+            if not any(map(row.__getitem__, cols)):
+                out.append(0)
+                continue
+            mult, ps = clear_denominators(list(map(row.__getitem__, cols)))
+            total, mult = sum(map(mul, ps, xs)), mult * xmult
+            out.append(Fraction(total, mult) if total % mult
+                       else total // mult)
+        return out
 
 
 class SparseMatrix:
@@ -160,33 +176,45 @@ def rat_rank(m: SparseMatrix) -> int:
 def _contract_equalities(rows, ncols):
     """(cls, k, contracted): the classes of the columns joined by the rows
     v (e_a - e_b), numbered 0..k-1 by their least column, and every other
-    row with each column summed into its class (zero sums dropped)."""
+    row with each column summed into its class, zero sums and the rows left
+    empty dropped.
+
+    Union-find with path halving (Tarjan 1975), inlined; each root is its
+    class's least column, so parent[c] <= c, and one pass in column order
+    numbers every class from its parent's, already numbered.
+    """
     parent = list(range(ncols))
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = c = parent[parent[c]]
-        return c
-
     others = []
     for row in rows:
         if len(row) == 2:
             (a, v), (b, w) = row.items()
             if v == -w:
-                a, b = find(a), find(b)
-                parent[max(a, b)] = min(a, b)
+                while (p := parent[a]) != a:
+                    parent[a] = a = parent[p]
+                while (p := parent[b]) != b:
+                    parent[b] = b = parent[p]
+                if a < b:
+                    parent[b] = a
+                else:
+                    parent[a] = b
                 continue
         others.append(row)
-    index = {}
-    cls = [index.setdefault(find(c), len(index)) for c in range(ncols)]
+    cls, k = [], 0
+    for c, p in enumerate(parent):
+        if p == c:
+            cls.append(k)
+            k += 1
+        else:
+            cls.append(cls[p])
     contracted = []
     for row in others:
         acc = {}
         for c, v in row.items():
             j = cls[c]
             acc[j] = acc.get(j, 0) + v
-        contracted.append({j: v for j, v in acc.items() if v})
-    return cls, len(index), contracted
+        if row := {j: v for j, v in acc.items() if v}:
+            contracted.append(row)
+    return cls, k, contracted
 
 
 def _bareiss_rank(sparse_rows, ncols) -> int:
@@ -382,10 +410,15 @@ def _phase1_simplex(arows, cols, d, scale, nvars):
             zc[j] -= f * v
     zscale = 1
     basis = list(range(nvars, nvars + m))
+    budget = PIVOTS_PER_ROW * m
     while True:
         best = min(zc, default=0)  # artificials never re-enter
         if best >= 0:
             break
+        if budget == 0:
+            raise AssertionError(f"phase-1 simplex passed its pivot budget "
+                                 f"of {PIVOTS_PER_ROW} per row ({m} rows)")
+        budget -= 1
         enter = zc.index(best)
         col = {}
         for k, v in cols[enter]:

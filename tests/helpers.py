@@ -67,6 +67,45 @@ def plain_rank(m: RatMatrix | SparseMatrix) -> int:
     return rank
 
 
+def fraction_matvec(m: RatMatrix, x):
+    """m x with each row summed as products of its entries and x's nonzeros,
+    in Fractions wherever an entry is one."""
+    cols = [j for j, v in enumerate(x) if v]
+    return [sum(row[j] * x[j] for j in cols) for row in m.data]
+
+
+def reference_contract_equalities(rows, ncols):
+    """(cls, k, contracted) as _contract_equalities defines it, by a find()
+    with path halving and a dict that numbers each root as it is first met;
+    every row that is not v (e_a - e_b), empty ones too, is contracted."""
+    parent = list(range(ncols))
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    others = []
+    for row in rows:
+        if len(row) == 2:
+            (a, v), (b, w) = row.items()
+            if v == -w:
+                a, b = find(a), find(b)
+                parent[max(a, b)] = min(a, b)
+                continue
+        others.append(row)
+    index = {}
+    cls = [index.setdefault(find(c), len(index)) for c in range(ncols)]
+    contracted = []
+    for row in others:
+        acc = {}
+        for c, v in row.items():
+            j = cls[c]
+            acc[j] = acc.get(j, 0) + v
+        contracted.append({j: v for j, v in acc.items() if v})
+    return cls, len(index), contracted
+
+
 def plain_residuals(sys, c: RatMatrix):
     """Per-row residuals C_r . x - d_r of the row-major flattening x of c,
     accumulated entry by entry as Fractions."""

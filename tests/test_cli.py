@@ -278,10 +278,12 @@ def test_verify_all_pool_never_exceeds_the_jobs(monkeypatch, capsys):
     strip = lambda text: [{k: v for k, v in r.items() if k != "timings"}
                           for r in json.loads(text)]
     outputs = []
-    for n, extra, workers, expected in (
-            ("3", [], "64", []),                  # 0 sigmas: serial
-            ("3", ["--all-sigmas"], "64", [6]),   # 6 sigmas: 6 workers
-            ("3", ["--all-sigmas"], "1", [])):    # serial
+    for n, extra, workers, cpus, expected in (
+            ("3", [], "64", 64, []),                  # 0 sigmas: serial
+            ("3", ["--all-sigmas"], "64", 64, [6]),   # 6 sigmas: 6 workers
+            ("3", ["--all-sigmas"], "1", 64, []),     # serial
+            ("3", ["--all-sigmas"], "64", 2, [2])):   # 2 CPUs: 2 workers
+        monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
         sizes.clear()
         code = cli.main(["verify-all", "--n", n, *extra, "--no-lp",
                          "--format", "json", "--workers", workers])
@@ -289,7 +291,7 @@ def test_verify_all_pool_never_exceeds_the_jobs(monkeypatch, capsys):
         assert sizes == expected
         outputs.append(strip(capsys.readouterr().out))
     assert outputs[0] == []
-    assert outputs[1] == outputs[2] and len(outputs[1]) == 6
+    assert outputs[1] == outputs[2] == outputs[3] and len(outputs[1]) == 6
 
 
 def test_verify_all_text_summary_table():

@@ -19,13 +19,21 @@ from tensorhull.exactmath import (
     rat_rank,
 )
 from tensorhull.exactmath import _contract_equalities
+from tensorhull.circulants import build_B
+from tensorhull.counterexample import build_T
+from tensorhull.permutations import (all_permutations,
+                                     enumerate_counterexample_sigmas,
+                                     parse_permutation)
+from tensorhull.polytopes import build_phi_constraints, support_columns
 from helpers import (
     brute_lp_feasible,
     dense,
     dense_check_farkas,
+    fraction_matvec,
     integer_rows,
     plain_rank,
     random_rational_matrix,
+    reference_contract_equalities,
     reference_simplex,
     sparse,
 )
@@ -152,12 +160,21 @@ def _planted_equalities(rng, cols):
     return RatMatrix(len(rows), cols, rows)
 
 
+def assert_contraction_matches_reference(m):
+    """_contract_equalities gives the reference's classes, class count and
+    contracted rows, in order, with the rows it leaves empty dropped."""
+    cls, k, contracted = _contract_equalities(m.data, m.cols)
+    want_cls, want_k, want = reference_contract_equalities(m.data, m.cols)
+    assert (cls, k) == (want_cls, want_k)
+    assert contracted == [row for row in want if row]
+    return k
+
+
 def test_rank_with_planted_equality_rows_matches_plain_elimination():
     rng = random.Random(23)
     for _ in range(120):
         m = integer_rows(_planted_equalities(rng, rng.randint(2, 9)))
-        _, k, _ = _contract_equalities(m.data, m.cols)
-        assert k < m.cols
+        assert assert_contraction_matches_reference(m) < m.cols
         assert rat_rank(m) == plain_rank(m)
     # the last row cancels within the one class: its columns must be summed
     m = RatMatrix.from_rows([[1, -1, 0], [0, 1, -1], [1, 1, -2]])
@@ -177,18 +194,57 @@ def test_contraction_joins_only_equality_rows(rows, classes, kept):
     assert len(others) == kept
 
 
+def test_contraction_of_n6_support_columns_matches_reference():
+    # the systems whose rank verify reads: every 18th admissible sigma at
+    # n=6 and (1 5)(2 6), whose support columns are rank-deficient (k = 2)
+    phi = build_phi_constraints(6)
+    sigmas = list(enumerate_counterexample_sigmas(6))[::18]
+    sigmas.append(parse_permutation("(1 5)(2 6)", 6))
+    ks = []
+    for sigma in sigmas:
+        sub = phi.column_submatrix(support_columns(build_T(6, sigma)))
+        ks.append(assert_contraction_matches_reference(sub))
+    assert len(sigmas) == 41 and ks[-1] == 2 and rat_rank(sub) == 215
+
+
 def test_matvec_matches_plain_double_loop():
     rng = random.Random(24)
-    for _ in range(40):
-        m = random_rational_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
-        x = [rng.choice([0, Fraction(0), rng.randint(-3, 3),
-                         Fraction(rng.randint(-5, 5), rng.randint(1, 6))])
+    kinds = set()
+    for _ in range(200):
+        m = random_rational_matrix(rng, rng.randint(1, 5), rng.randint(1, 6),
+                                   max_den=rng.choice([1, 4, 9]))
+        for row in rng.sample(m.data, rng.randint(0, m.rows)):
+            row[:] = [0] * m.cols if rng.random() < 0.5 else [
+                Fraction(rng.randint(-4, 4), rng.choice([2, 3, 6]))
+                for _ in row]
+        x = [rng.choice([0, Fraction(0), rng.randint(-3, 3), 6 * rng.randint(
+                 -3, 3), Fraction(rng.randint(-5, 5), rng.randint(1, 6))])
              for _ in range(m.cols)]
         expected = [sum((row[j] * x[j] for j in range(m.cols)), Fraction(0))
                     for row in m.data]
-        assert m.matvec(x) == expected
+        got = m.matvec(x)
+        assert got == expected == fraction_matvec(m, x)
+        # an integral entry comes back as an int, any other as a Fraction
+        assert [type(v) for v in got] == [
+            int if v.denominator == 1 else Fraction for v in expected]
+        kinds.update(type(v) for v in got)
+    assert kinds == {int, Fraction}
     with pytest.raises(ValueError):
         RatMatrix(2, 2, [[1, 0], [0, 1]]).matvec([1])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_matvec_on_T_matches_fraction_oracle(n):
+    # T v_m for every sigma and symbol m: rows of n 1/n's or of zeros on
+    # v_m's support, each summed to an int 1 or 0
+    for sigma in all_permutations(n):
+        t = build_T(n, sigma)
+        b = [m for row in build_B(n, sigma).entry for m in row]
+        for m in range(1, n + 1):
+            v = [int(x == m) for x in b]
+            got = t.matvec(v)
+            assert got == fraction_matvec(t, v)
+            assert {type(u) for u in got} == {int} and sum(got) == n
 
 
 def test_rank_transpose_invariant():
@@ -395,6 +451,26 @@ def _corrupted_simplex(monkeypatch, corrupt):
         return corrupt(*real(*args))
 
     monkeypatch.setattr(exactmath, "_phase1_simplex", wrong)
+
+
+def test_pivot_budget_stops_the_simplex(monkeypatch, capsys, tmp_path):
+    # a simplex past its pivot budget raises, and the CLI reports an internal
+    # divergence; with the budget at 0 every LP that pivots at all is past it
+    from tensorhull import cli
+
+    c, d = sparse(SELF_CHECK_C), [Fraction(1, 2), Fraction(3, 2)]
+    assert lp_feasible(c, d).feasible
+    matrix = tmp_path / "t.txt"
+    matrix.write_text(format_matrix(build_T(4, parse_permutation("(3 4)", 4))))
+    argv = ["psi-oracle", str(matrix), "--n", "4", "--mode", "full"]
+    assert cli.main(argv) == 0
+    monkeypatch.setattr(exactmath, "PIVOTS_PER_ROW", 0)
+    with pytest.raises(AssertionError, match="pivot budget"):
+        lp_feasible(c, d)
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "verification divergence" in err and "pivot budget" in err
 
 
 # C has independent columns, so a witness that moves weight to another
