@@ -199,6 +199,7 @@ def _load_square_matrix(path: str, n: int):
 
 
 def cmd_psi_oracle(args) -> int:
+    polytopes.check_phi_size(args.n)
     m = _load_square_matrix(args.matrix, args.n)
     mode = args.mode.replace("-", "_")
     result = polytopes.psi_contains(m, args.n, mode=mode)

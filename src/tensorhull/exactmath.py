@@ -318,9 +318,9 @@ def check_farkas(c_matrix: SparseMatrix, d, y) -> bool:
 def lp_feasible(c_matrix: SparseMatrix, d, scale: int = 1) -> Feasibility:
     """Decide exactly whether {x >= 0 : Cx = d / scale} is nonempty.
 
-    d holds ints over the positive int scale; a d with any Fraction (or
-    '3/4') is cleared to ints first.  Phase-1 revised simplex over the
-    sparse rows of [C | d], scaled to integers (see _phase1_simplex).
+    d holds ints over the positive int scale, and anything else in d raises
+    TypeError.  Phase-1 revised simplex over the sparse rows of [C | d],
+    scaled to integers (see _phase1_simplex).
     Entering column: most negative reduced cost, ties broken by lowest
     index; leaving row: lexicographic ratio test keyed on (rhs, artificial
     columns), which guarantees termination on degenerate systems and makes
@@ -334,8 +334,7 @@ def lp_feasible(c_matrix: SparseMatrix, d, scale: int = 1) -> Feasibility:
     if scale < 1:
         raise ValueError("scale must be a positive int")
     if not {int}.issuperset(map(type, d)):
-        mult, d = clear_denominators([as_rational(v) for v in d])
-        scale *= mult
+        raise TypeError("d holds ints only, over scale")
     status, out = _phase1_simplex(c_matrix.data, _simplex_index(c_matrix),
                                   d, scale, nvars)
     if status == FEASIBLE:

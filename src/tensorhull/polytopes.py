@@ -221,17 +221,11 @@ def phi_contains(c: RatMatrix, sys: ConstraintSystem) -> PhiCheck:
 
 
 def kron(p: Permutation, q: Permutation) -> RatMatrix:
-    """Kronecker product of the permutation matrices of p and q.
-
-    Entry ((i,k),(j,l)) is 1 iff j = p(i) and l = q(k).
-    """
+    """Kronecker product of the permutation matrices of p and q, the vertex
+    of weight 1: entry ((i,k),(j,l)) is 1 iff j = p(i) and l = q(k)."""
     if p.n != q.n:
         raise ValueError("size mismatch")
-    nn = p.n * p.n
-    m = RatMatrix.zeros(nn, nn)
-    for v in kron_support(p, q):
-        m.data[v // nn][v % nn] = 1
-    return m
+    return weights_reconstruct({(p.image, q.image): 1}, p.n)
 
 
 def kron_support(p: Permutation, q: Permutation):
@@ -303,24 +297,20 @@ class MembershipResult:
     farkas = farkas_property()
 
 
-def all_pairs(n: int):
-    """All (p, q) in lexicographic order of (p image, q image)."""
-    perms = list(all_permutations(n))
-    return [(p, q) for p in perms for q in perms]
-
-
 @lru_cache(maxsize=None)
-def _full_pairs(n: int):
-    """all_pairs(n) as a tuple, listed once per n."""
-    return tuple(all_pairs(n))
+def all_pairs(n: int):
+    """All (p, q) in lexicographic order of (p image, q image), as one tuple
+    listed once per n."""
+    perms = list(all_permutations(n))
+    return tuple((p, q) for p in perms for q in perms)
 
 
 @lru_cache(maxsize=None)
 def _full_rung(n: int, canonical: bool):
-    """The reduced or the canonical rung (see _decide) over _full_pairs(n);
+    """The reduced or the canonical rung (see _decide) over all_pairs(n);
     its rows are built once per n, by the first query that reaches it."""
     groups = (_canonical_groups if canonical else _reduced_groups)(n)
-    supports = (kron_support(p, q) for p, q in _full_pairs(n))
+    supports = (kron_support(p, q) for p, q in all_pairs(n))
     return groups, _grouped_rows(n, supports, groups), None
 
 
@@ -387,7 +377,7 @@ def membership_system(c: RatMatrix, n: int, pairs) -> tuple[SparseMatrix, list]:
     the canonical _full_rung(n, True); any other list gets rows of its own.
     """
     groups = _canonical_groups(n)
-    if len(pairs) == factorial(n) ** 2 and tuple(pairs) == _full_pairs(n):
+    if len(pairs) == factorial(n) ** 2 and tuple(pairs) == all_pairs(n):
         rows = _full_rung(n, True)[1]
     else:
         rows = _grouped_rows(n, [kron_support(p, q) for p, q in pairs], groups)
@@ -432,13 +422,6 @@ def _reduced_groups(n: int):
     return (*entries, *rowblocks, *colblocks, tuple(range(n4)), (n4,))
 
 
-def _scaled_rhs(c: RatMatrix):
-    """(L, L times the canonical rhs: c's entries row-major, then the 1 of
-    the sum-to-1 row), L > 0 the lcm of the entries' denominators."""
-    mult, cs = clear_denominators([v for row in c.data for v in row])
-    return mult, [*cs, mult]
-
-
 def _grouped_rows(n: int, supports, groups) -> SparseMatrix:
     """The LP rows whose row r is the sum of the canonical rows in groups[r].
 
@@ -463,7 +446,7 @@ def _grouped_rows(n: int, supports, groups) -> SparseMatrix:
 
 def _grouped_rhs(rhs, groups):
     """The rhs of _grouped_rows as ints: d_r sums the canonical rhs over
-    groups[r], from its scaled ints rhs (see _scaled_rhs), so it keeps
+    groups[r], from its scaled ints rhs (see _checked_rhs), so it keeps
     their scale."""
     return [sum(map(rhs.__getitem__, group)) for group in groups]
 
@@ -506,7 +489,7 @@ def _verify_psi_farkas(rhs, n: int, pairs, y) -> bool:
     C'y at (p, q) is y_0 plus y summed over kron_support(p, q), and an
     empty pair list has no column to check.
 
-    rhs is the canonical rhs scaled to ints (see _scaled_rhs) and y is a
+    rhs is the canonical rhs scaled to ints (see _checked_rhs) and y is a
     certificate's ints at its scale; both scales are positive, so every
     sign is kept (any exact rationals y are read as they are).
     """
@@ -525,14 +508,16 @@ def check_lp_size(n: int, cols: int):
 
 
 def _checked_rhs(c: RatMatrix, n: int):
-    """_scaled_rhs(c) for an n^2 x n^2 c with no negative entry."""
+    """(L, L times the canonical rhs: c's entries row-major, then the 1 of
+    the sum-to-1 row), L > 0 the lcm of the entries' denominators, for an
+    n^2 x n^2 c with no negative entry."""
     nn = n * n
     if c.rows != nn or c.cols != nn:
         raise ValueError(f"matrix must be {nn} x {nn}")
-    mult, rhs = _scaled_rhs(c)
-    if any(v < 0 for v in rhs):
+    mult, cs = clear_denominators([v for row in c.data for v in row])
+    if any(v < 0 for v in cs):
         raise ValueError("matrix has negative entries")
-    return mult, rhs
+    return mult, [*cs, mult]
 
 
 def _decide(c: RatMatrix, n: int, mode: str, pairs, rungs, scaled,
@@ -595,7 +580,7 @@ def psi_contains(c: RatMatrix, n: int,
     if mode == FULL:
         check_lp_size(n, factorial(n) ** 2)
         # each result owns its pair list
-        return _decide(c, n, mode, list(_full_pairs(n)),
+        return _decide(c, n, mode, list(all_pairs(n)),
                        map(_full_rung, (n, n), (False, True)), scaled)
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -603,13 +588,11 @@ def psi_contains(c: RatMatrix, n: int,
 @lru_cache(maxsize=None)
 def _class_system(n: int):
     """The Psi LP summed over the n^2 cell classes (i+k, j+l) mod n, on
-    which every transfer matrix is constant, as (pairs, groups, columns,
-    system):
+    which every transfer matrix is constant, as (groups, columns, system):
 
-    - pairs is _full_pairs(n), all_pairs(n) as a tuple listed once per n;
     - groups[r] lists the canonical rows that row r sums: the cells of
       class r, and last the sum-to-1 row (n^4,);
-    - columns[j] lists the indices into pairs of the pairs with the
+    - columns[j] lists the indices into all_pairs(n) of the pairs with the
       j-th distinct profile: the int whose digit r in base n^2 + 1 counts
       the pair's kron_support cells in class r;
     - system holds those counts, and 1 in the sum-to-1 row.
@@ -620,8 +603,7 @@ def _class_system(n: int):
     cls = [n * ((i + k) % n) + (j + l) % n
            for i, k, j, l in product(range(n), repeat=4)]
     columns = {}
-    pairs = _full_pairs(n)
-    profiles = _support_sums(n, pairs, [base ** r for r in cls])
+    profiles = _support_sums(n, all_pairs(n), [base ** r for r in cls])
     for j, profile in enumerate(profiles):
         columns.setdefault(profile, []).append(j)
     data = [{j: h for j, p in enumerate(columns)
@@ -629,7 +611,7 @@ def _class_system(n: int):
     data.append(dict.fromkeys(range(len(columns)), 1))
     groups = (*(tuple(v for v, rv in enumerate(cls) if rv == r)
                 for r in range(nn)), (nn * nn,))
-    return (pairs, groups, tuple(map(tuple, columns.values())),
+    return (groups, tuple(map(tuple, columns.values())),
             SparseMatrix(base, len(columns), data))
 
 
@@ -647,9 +629,9 @@ def class_psi_contains(c: RatMatrix, n: int) -> MembershipResult:
     """
     scaled = _checked_rhs(c, n)
     check_lp_size(n, factorial(n) ** 2)
-    pairs, groups, columns, system = _class_system(n)
+    groups, columns, system = _class_system(n)
     rungs = map(_full_rung, (n, n), (False, True))
     rhs = scaled[1]
     if all(rhs[v] == rhs[group[0]] for group in groups for v in group):
         rungs = chain([(groups, system, columns)], rungs)
-    return _decide(c, n, FULL, list(pairs), rungs, scaled)
+    return _decide(c, n, FULL, list(all_pairs(n)), rungs, scaled)

@@ -469,6 +469,14 @@ def integer_rows(m: RatMatrix, d=None):
     return s, [Fraction(v) * f for v, f in zip(d, mults)]
 
 
+def ints_over(d, extra=1):
+    """(ints, scale) with ints / scale == d, the rhs form lp_feasible takes:
+    scale is extra times the lcm of d's denominators, so the ints share
+    factors with it when extra > 1."""
+    scale = extra * math.lcm(*(Fraction(v).denominator for v in d))
+    return [int(Fraction(v) * scale) for v in d], scale
+
+
 def literal_phi_constraints(n: int) -> ConstraintSystem:
     """Phi under the literal reading of families 3 and 4, the reference the
     library's one reading is checked against: build_phi_constraints(n)'s

@@ -236,7 +236,6 @@ def test_lp_above_the_size_cap_fails_fast(monkeypatch, capsys, tmp_path,
         raise AssertionError("ran before the LP size check")
 
     for module, name in ((polytopes, "all_pairs"),
-                         (polytopes, "_full_pairs"),
                          (polytopes, "_full_rung"),
                          (polytopes, "_grouped_rows"),
                          (polytopes, "_class_system"),
@@ -553,6 +552,7 @@ def test_column_index_is_built_once_per_system(tmp_path, monkeypatch,
     ["verify", "--n", "33", "--sigma", "(3 4)", "--no-lp"],
     ["verify-all", "--n", "33", "--no-lp", "--sn-cap", "40"],
     ["phi-check", "{matrix}", "--n", "33"],
+    ["psi-oracle", "{matrix}", "--n", "33"],
 ])
 def test_phi_above_the_size_cap_fails_fast(monkeypatch, capsys, tmp_path,
                                            argv):

@@ -1,6 +1,5 @@
 """Exact matrices, rank, and the LP feasibility kernel."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -31,6 +30,7 @@ from helpers import (
     dense_check_farkas,
     fraction_matvec,
     integer_rows,
+    ints_over,
     plain_rank,
     random_rational_matrix,
     reference_contract_equalities,
@@ -273,14 +273,14 @@ def test_rank_row_scaling_and_permutation_invariant():
 
 def test_lp_trivial_feasible():
     c = sparse(RatMatrix.from_rows([[1, 1]]))
-    res = lp_feasible(c, [Fraction(1)])
+    res = lp_feasible(c, [1])
     assert res.status == FEASIBLE
     assert res.witness == [Fraction(1), Fraction(0)]
 
 
 def test_lp_trivial_infeasible():
     c = sparse(RatMatrix.from_rows([[1, 1]]))
-    res = lp_feasible(c, [Fraction(-1)])
+    res = lp_feasible(c, [-1])
     assert res.status == INFEASIBLE
     assert res.farkas == [Fraction(1)]
     assert check_farkas(c, [Fraction(-1)], res.farkas)
@@ -309,7 +309,8 @@ def test_lp_random_feasible_roundtrip():
         c = random_rational_matrix(rng, rows, cols)
         x = [Fraction(rng.randint(0, 5), rng.randint(1, 4)) for _ in range(cols)]
         d = c.matvec(x)
-        res = lp_feasible(*integer_rows(c, d))
+        ci, di = integer_rows(c, d)
+        res = lp_feasible(ci, *ints_over(di))
         assert res.status == FEASIBLE
         assert c.matvec(res.witness) == d
         assert all(v >= 0 for v in res.witness)
@@ -324,7 +325,7 @@ def test_lp_random_certificates_verify():
         c = random_rational_matrix(rng, rows, cols)
         d = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rows)]
         ci, di = integer_rows(c, d)
-        res = lp_feasible(ci, di)
+        res = lp_feasible(ci, *ints_over(di))
         if res.status == FEASIBLE:
             assert c.matvec(res.witness) == d
             assert all(v >= 0 for v in res.witness)
@@ -337,7 +338,7 @@ def test_lp_random_certificates_verify():
 def test_lp_deterministic():
     rng = random.Random(13)
     c = integer_rows(random_rational_matrix(rng, 4, 6))
-    d = [Fraction(v) for v in (1, 0, 2, 1)]
+    d = [1, 0, 2, 1]
     first = lp_feasible(c, d)
     second = lp_feasible(c, d)
     assert first.status == second.status
@@ -347,8 +348,8 @@ def test_lp_deterministic():
 
 def test_lp_zero_columns():
     c = SparseMatrix(2, 0, [{}, {}])
-    assert lp_feasible(c, [Fraction(0), Fraction(0)]).status == FEASIBLE
-    res = lp_feasible(c, [Fraction(0), Fraction(1)])
+    assert lp_feasible(c, [0, 0]).status == FEASIBLE
+    res = lp_feasible(c, [0, 1])
     assert res.status == INFEASIBLE
     assert check_farkas(c, [Fraction(0), Fraction(1)], res.farkas)
 
@@ -399,7 +400,7 @@ def test_lp_status_matches_basis_enumeration():
         system = _degenerate_system(rng, DEGENERATE_KINDS[trial % 6])
         ci, d = integer_rows(*system)
         c = dense(ci)
-        res = lp_feasible(ci, d)
+        res = lp_feasible(ci, *ints_over(d))
         assert res.feasible == brute_lp_feasible(c, d), (trial, c.data, d)
         # The revised simplex takes the dense tableau's pivots, so it returns
         # the same witness or Farkas vector.
@@ -409,37 +410,33 @@ def test_lp_status_matches_basis_enumeration():
     assert min(seen.values()) >= 40, seen
 
 
-def _ints_over(d, extra):
-    """(ints, scale) with ints / scale == d: scale is extra times the lcm of
-    d's denominators, so the ints share factors with it when extra > 1."""
-    scale = extra * math.lcm(*(Fraction(v).denominator for v in d))
-    return [int(Fraction(v) * scale) for v in d], scale
-
-
 def test_lp_integer_rhs_matches_fraction_rhs():
     # The systems of test_lp_status_matches_basis_enumeration, with d given
     # as ints over a scale (the lcm of its denominators, and 6 times it):
-    # the same status, witness and Farkas vector as for d as Fractions, and
-    # the dense reference tableau's.  The certificate is the Farkas vector
-    # in ints over one positive scale.
+    # the same status, witness and Farkas vector as the dense reference
+    # tableau gives for d as Fractions.  The certificate is the Farkas
+    # vector in ints over one positive scale.  A d that holds a Fraction, a
+    # string or a float is refused.
     rng = random.Random(2024)
     seen = set()
     for trial in range(240):
         system = _degenerate_system(rng, DEGENERATE_KINDS[trial % 6])
         ci, d = integer_rows(*system)
-        want = lp_feasible(ci, d)
-        assert (want.status, want.witness if want.feasible else want.farkas
-                ) == reference_simplex(dense(ci), d), trial
+        want = reference_simplex(dense(ci), d)
         for extra in (1, 6):
-            ints, scale = _ints_over(d, extra)
+            ints, scale = ints_over(d, extra)
             res = lp_feasible(ci, ints, scale=scale)
-            assert (res.status, res.witness, res.farkas) == (
-                want.status, want.witness, want.farkas), (trial, extra)
+            assert (res.status, res.witness if res.feasible else res.farkas
+                    ) == want, (trial, extra)
             if not res.feasible:
                 ys, yscale = res.certificate
                 assert yscale > 0 and all(type(v) is int for v in ys)
                 assert [Fraction(v, yscale) for v in ys] == res.farkas
         seen.add(res.status)
+        for bad in ([Fraction(v) for v in d], [str(v) for v in d],
+                    [float(v) for v in d]):
+            with pytest.raises(TypeError):
+                lp_feasible(ci, bad)
     assert seen == {FEASIBLE, INFEASIBLE}
 
 
@@ -458,15 +455,15 @@ def test_pivot_budget_stops_the_simplex(monkeypatch, capsys, tmp_path):
     # divergence; with the budget at 0 every LP that pivots at all is past it
     from tensorhull import cli
 
-    c, d = sparse(SELF_CHECK_C), [Fraction(1, 2), Fraction(3, 2)]
-    assert lp_feasible(c, d).feasible
+    c, d = sparse(SELF_CHECK_C), [1, 3]
+    assert lp_feasible(c, d, 2).feasible
     matrix = tmp_path / "t.txt"
     matrix.write_text(format_matrix(build_T(4, parse_permutation("(3 4)", 4))))
     argv = ["psi-oracle", str(matrix), "--n", "4", "--mode", "full"]
     assert cli.main(argv) == 0
     monkeypatch.setattr(exactmath, "PIVOTS_PER_ROW", 0)
     with pytest.raises(AssertionError, match="pivot budget"):
-        lp_feasible(c, d)
+        lp_feasible(c, d, 2)
     capsys.readouterr()
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
@@ -480,8 +477,8 @@ SELF_CHECK_C = RatMatrix.from_rows([[1, 0, 1, 2], [0, 1, 1, 3]])
 
 @pytest.mark.parametrize("shift", [1, 2, 3])
 def test_lp_witness_moved_fails_resubstitution(monkeypatch, shift):
-    c, d = sparse(SELF_CHECK_C), [Fraction(1, 2), Fraction(3, 2)]
-    x = lp_feasible(c, d).witness
+    c, d = sparse(SELF_CHECK_C), [1, 3]
+    x = lp_feasible(c, d, 2).witness
     j = next(j for j, v in enumerate(x) if v)
 
     def moved(status, x):
@@ -492,7 +489,7 @@ def test_lp_witness_moved_fails_resubstitution(monkeypatch, shift):
 
     _corrupted_simplex(monkeypatch, moved)
     with pytest.raises(AssertionError, match="re-substitution"):
-        lp_feasible(c, d)
+        lp_feasible(c, d, 2)
 
 
 def test_lp_witness_negative_entry_fails(monkeypatch):
@@ -548,7 +545,8 @@ def test_lp_on_one_matrix_matches_a_fresh_copy():
                    for _ in d] for _ in range(3)]
         for rhs in (d, *others, d):
             fresh, rhs = integer_rows(c, rhs)
-            res, again = lp_feasible(kept, rhs), lp_feasible(fresh, rhs)
+            ints = ints_over(rhs)
+            res, again = lp_feasible(kept, *ints), lp_feasible(fresh, *ints)
             assert (res.status, res.witness, res.farkas) == (
                 again.status, again.witness, again.farkas), (trial, rhs)
             out = res.witness if res.feasible else res.farkas
@@ -574,7 +572,7 @@ def test_check_farkas_matches_dense_oracle():
         system = _degenerate_system(rng, DEGENERATE_KINDS[trial % 6])
         ci, d = integer_rows(*system)
         c = dense(ci)
-        res = lp_feasible(ci, d)
+        res = lp_feasible(ci, *ints_over(d))
         y = res.farkas or [Fraction(yrng.randint(-3, 3), yrng.randint(1, 3))
                            for _ in range(c.rows)]
         perturbed = list(y)

@@ -42,13 +42,12 @@ from tensorhull.polytopes import (
     support_columns,
     weights_reconstruct,
     _canonical_groups,
+    _checked_rhs,
     _class_system,
-    _full_pairs,
     _full_rung,
     _grouped_rhs,
     _grouped_rows,
     _reduced_groups,
-    _scaled_rhs,
     _verify_psi_farkas,
 )
 from helpers import (
@@ -58,6 +57,7 @@ from helpers import (
     dense_check_farkas,
     dense_column_submatrix,
     dense_grouped_system,
+    ints_over,
     literal_phi_constraints,
     plain_residuals,
     random_doubly_stochastic,
@@ -131,6 +131,14 @@ def test_kron_examples():
     ti = TensorIndex(2)
     assert m.data[ti.flat(1, 1)][ti.flat(2, 2)] == 1
     assert sum(m.data[ti.flat(1, 1)]) == 1
+    # every Kronecker vertex at n <= 3 is the one-vertex reconstruction, and
+    # the dense product of the two permutation matrices
+    for n in (1, 2, 3):
+        for p, q in all_pairs(n):
+            a, b = (RatMatrix(n, n, [[int(s(i) == j) for j in range(1, n + 1)]
+                                     for i in range(1, n + 1)]) for s in (p, q))
+            assert kron(p, q) == weights_reconstruct(
+                {(p.image, q.image): 1}, n) == tensor_product(a, b)
 
 
 def test_kron_size_mismatch():
@@ -449,8 +457,8 @@ def test_psi_full_n5_farkas_matches_golden_bytes():
 
 @pytest.mark.parametrize("n, cells, columns", [(4, 16, 34), (5, 25, 351)])
 def test_class_system_sizes(n, cells, columns):
-    pairs, groups, members, system = _class_system(n)
-    assert list(pairs) == all_pairs(n)
+    groups, members, system = _class_system(n)
+    assert all_pairs(n) is all_pairs(n)
     assert (len(groups), len(members)) == (cells + 1, columns)
     assert (system.rows, system.cols) == (cells + 1, columns)
     # the classes partition the cells, n^2 each; the sum-to-1 row comes last
@@ -472,7 +480,7 @@ def test_class_system_counts_every_member():
     # Every member of column j has, in each class, as many kron_support
     # cells as column j's coefficient, and no two columns are equal.
     for n in (3, 4):
-        pairs, groups, members, system = _class_system(n)
+        pairs, (groups, members, system) = all_pairs(n), _class_system(n)
         cls = {v: r for r, group in enumerate(groups[:-1]) for v in group}
         profiles = set()
         for j, column in enumerate(members):
@@ -521,7 +529,7 @@ def test_orbit_psi_matches_full_mode(monkeypatch):
         assert rows == [n * n + 1]
         full = psi_contains(t, n, mode="full")
         assert res.in_psi == full.in_psi
-        assert res.mode == "full" and res.pairs == all_pairs(n)
+        assert res.mode == "full" and res.pairs == list(all_pairs(n))
         if res.in_psi:
             assert all(w > 0 for w in res.weights.values())
             assert sum(res.weights.values()) == 1
@@ -534,8 +542,9 @@ def test_orbit_psi_matches_full_mode(monkeypatch):
 
 
 def test_class_lp_lists_pairs_once_per_n(monkeypatch):
-    # The class table keeps its pair list, so a later call lists no pairs;
-    # each result still gets all n!^2 pairs in order, as a list of its own.
+    # The class table reads the one cached pair list, so a later call lists
+    # no pairs; each result still gets all n!^2 pairs in order, as a list
+    # of its own.
     from tensorhull import polytopes
 
     def refuse(n):
@@ -543,10 +552,11 @@ def test_class_lp_lists_pairs_once_per_n(monkeypatch):
 
     for n, t in orbit_cases():
         _class_system(n)
-        monkeypatch.setattr(polytopes, "all_pairs", refuse)
+        monkeypatch.setattr(polytopes, "all_permutations", refuse)
         first, second = class_psi_contains(t, n), class_psi_contains(t, n)
+        assert all_pairs(n) is all_pairs(n)
         monkeypatch.undo()
-        assert first.pairs == second.pairs == all_pairs(n)
+        assert first.pairs == second.pairs == list(all_pairs(n))
         assert first.pairs is not second.pairs
 
 
@@ -558,10 +568,10 @@ def test_class_farkas_lift_matches_columns():
         res = class_psi_contains(t, n)
         if res.in_psi:
             continue
-        _, groups, members, system = _class_system(n)
+        groups, members, system = _class_system(n)
         cells = [v for row in t.data for v in row] + [1]
         d = [sum(cells[v] for v in group) for group in groups]
-        y_class = lp_feasible(system, d).farkas
+        y_class = lp_feasible(system, *ints_over(d)).farkas
         y = res.farkas
         for r, group in enumerate(groups):
             assert {y[v] for v in group} == {y_class[r]}
@@ -608,7 +618,7 @@ def test_verify_psi_farkas_matches_support_oracle():
     lists = [all_pairs(n), filtered.pairs, []]
     seen = Counter()
     for c, res in ((t, class_psi_contains(t, n)), (mix, filtered)):
-        rhs = _scaled_rhs(c)[1]
+        rhs = _checked_rhs(c, n)[1]
         y = res.farkas
         tight = [support for support in map(kron_support, *zip(*res.pairs))
                  if y[-1] + sum(y[v] for v in support) == 0]
@@ -636,7 +646,7 @@ def test_orbit_psi_lifted_farkas_passes_dense_oracle():
         res = class_psi_contains(t, n)
         if res.in_psi:
             continue
-        canon, d = dense_grouped_system(*_scaled_rhs(t), n, res.pairs,
+        canon, d = dense_grouped_system(*_checked_rhs(t, n), n, res.pairs,
                                         _canonical_groups(n))
         assert (canon.rows, canon.cols) == (257, 576)
         assert dense_check_farkas(canon, d, res.farkas)
@@ -811,9 +821,9 @@ def test_psi_modes_agree():
     # The perturbed inputs satisfy every reduced row: the verdict above came
     # from the canonical system.
     for n, m in zip((3, 4), perturbed):
-        reduced = grouped_system(*_scaled_rhs(m), n, supports(all_pairs(n)),
-                                 _reduced_groups(n))
-        assert lp_feasible(*reduced).feasible
+        rows, d = grouped_system(*_checked_rhs(m, n), n,
+                                 supports(all_pairs(n)), _reduced_groups(n))
+        assert lp_feasible(rows, *ints_over(d)).feasible
 
 
 @pytest.mark.parametrize("n, count", [(2, 8), (3, 8), (4, 3)])
@@ -825,7 +835,7 @@ def test_fuzz_mixes_of_tensor_products_lie_in_phi_and_psi(n, count):
     # LP mostly hands them to the full-mode rungs.
     rng = random.Random(1000 + n)
     sys_ = build_phi_constraints(n)
-    groups = _class_system(n)[1][:-1]
+    groups = _class_system(n)[0][:-1]
     on_classes = 0
     for _ in range(count):
         raw = [rng.randint(1, 9) for _ in range(rng.randint(1, 3))]
@@ -850,7 +860,7 @@ def test_fuzz_mixes_of_tensor_products_lie_in_phi_and_psi(n, count):
 def test_reduced_rows_span_the_canonical_system(n):
     pairs = all_pairs(n)
     c = vertex_mix(random.Random(90 + n), n, 2)
-    reduced, d_reduced = grouped_system(*_scaled_rhs(c), n, supports(pairs),
+    reduced, d_reduced = grouped_system(*_checked_rhs(c, n), n, supports(pairs),
                                          _reduced_groups(n))
     canon, d_canon = membership_system(c, n, pairs)
     assert rat_rank(reduced) == rat_rank(canon) == ((n - 1) ** 2 + 1) ** 2
@@ -879,7 +889,7 @@ def test_grouped_system_matches_dense_oracle(n):
     assert min(len(pairs) for _, pairs in cases) < len(cases[0][1])
     for c, pairs in cases:
         for groups in (_reduced_groups(n), _canonical_groups(n)):
-            args = (*_scaled_rhs(c), n)
+            args = (*_checked_rhs(c, n), n)
             got, d = grouped_system(*args, supports(pairs), groups)
             want, d_want = dense_grouped_system(*args, pairs, groups)
             assert (got.rows, got.cols) == (want.rows, want.cols)
@@ -904,10 +914,10 @@ def test_psi_lp_pivots_match_reference_tableau():
             for pairs in pair_sets:
                 for groups in (_reduced_groups(n), _canonical_groups(n)):
                     systems.append(grouped_system(
-                        *_scaled_rhs(c), n, supports(pairs), groups))
+                        *_checked_rhs(c, n), n, supports(pairs), groups))
     seen = set()
     for c, d in systems:
-        res = lp_feasible(c, d)
+        res = lp_feasible(c, *ints_over(d))
         out = res.witness if res.feasible else res.farkas
         assert (res.status, out) == reference_simplex(dense(c), d)
         seen.add(res.status)
@@ -918,7 +928,9 @@ def test_psi_lp_pivots_match_reference_tableau():
 def test_full_tables_match_fresh_rows(n):
     # The rows kept per n are the rows built afresh over all_pairs(n), for
     # both rungs, and full mode hands each result its own pair list.
-    assert list(_full_pairs(n)) == all_pairs(n)
+    perms = list(all_permutations(n))
+    assert all_pairs(n) == tuple((p, q) for p in perms for q in perms)
+    assert all_pairs(n) is all_pairs(n)
     fresh = supports(all_pairs(n))
     for canonical, groups in ((False, _reduced_groups(n)),
                               (True, _canonical_groups(n))):
@@ -929,7 +941,7 @@ def test_full_tables_match_fresh_rows(n):
             want.rows, want.cols, want.data)
     c = vertex_mix(random.Random(40 + n), n, 2)
     first, second = (psi_contains(c, n, mode="full") for _ in range(2))
-    assert first.pairs == second.pairs == all_pairs(n)
+    assert first.pairs == second.pairs == list(all_pairs(n))
     assert first.pairs is not second.pairs
 
 
@@ -969,7 +981,7 @@ def test_membership_system_shares_rows_only_for_all_pairs(n):
     for other in (pairs[::-1], swapped, pairs[:-1], pairs[1:]):
         got, d_got = membership_system(c, n, other)
         assert got is not canon
-        want, d_want = dense_grouped_system(*_scaled_rhs(c), n, other,
+        want, d_want = dense_grouped_system(*_checked_rhs(c, n), n, other,
                                             _canonical_groups(n))
         assert (got.rows, got.cols) == (want.rows, want.cols)
         assert got.data == [{j: v for j, v in enumerate(row) if v}
@@ -991,7 +1003,7 @@ def test_kept_psi_tables_answer_each_rhs_afresh():
         fresh = supports(all_pairs(n))
         for groups, kept, _ in map(_full_rung, (n, n), (False, True)):
             for c in mats:
-                mult, rhs = _scaled_rhs(c)
+                mult, rhs = _checked_rhs(c, n)
                 d = _grouped_rhs(rhs, groups)
                 res = lp_feasible(kept, d, scale=mult)
                 again = lp_feasible(_grouped_rows(n, fresh, groups), d,
@@ -1009,8 +1021,11 @@ def test_kept_psi_tables_answer_each_rhs_afresh():
 def test_psi_lp_integer_rhs_matches_fraction_rhs():
     # Seeded reduced and canonical systems over the support-filtered and
     # all pairs, and the class system at n = 4: the ints of _grouped_rhs
-    # over the scale of _scaled_rhs give the answer that the same rhs as
-    # Fractions gives, status, witness and Farkas vector alike.
+    # over the scale L of _checked_rhs, and over 6L, give the status,
+    # witness and Farkas vector that the dense reference tableau gives for
+    # the same rhs as Fractions.  The n = 4 grouped systems, too large for
+    # the tableau, are compared between the two scales.  A rhs of
+    # Fractions, strings or floats is refused.
     rng = random.Random(2029)
     systems = []
     for n in (3, 4):
@@ -1019,19 +1034,28 @@ def test_psi_lp_integer_rhs_matches_fraction_rhs():
         for c in mats:
             for pairs in (admissible_pairs(c, n), all_pairs(n)):
                 for groups in (_reduced_groups(n), _canonical_groups(n)):
-                    systems.append((c, _grouped_rows(n, supports(pairs),
-                                                     groups), groups))
-    _, groups, _, system = _class_system(4)
-    systems += [(build_T(4, sigma), system, groups)
+                    systems.append((n, c, _grouped_rows(n, supports(pairs),
+                                                        groups), groups))
+    groups, _, system = _class_system(4)
+    systems += [(4, build_T(4, sigma), system, groups)
                 for sigma in all_permutations(4)]
     seen = set()
-    for c, rows, groups in systems:
-        mult, rhs = _scaled_rhs(c)
+    for n, c, rows, groups in systems:
+        mult, rhs = _checked_rhs(c, n)
         d = _grouped_rhs(rhs, groups)
         res = lp_feasible(rows, d, scale=mult)
-        want = lp_feasible(rows, [Fraction(v, mult) for v in d])
+        again = lp_feasible(rows, [6 * v for v in d], scale=6 * mult)
         assert (res.status, res.witness, res.farkas) == (
-            want.status, want.witness, want.farkas)
+            again.status, again.witness, again.farkas)
+        fractions = [Fraction(v, mult) for v in d]
+        if n == 3 or rows is system:
+            out = res.witness if res.feasible else res.farkas
+            assert (res.status, out) == reference_simplex(dense(rows),
+                                                          fractions)
+        for bad in (fractions, [*map(str, fractions)],
+                    [v / mult for v in d]):
+            with pytest.raises(TypeError):
+                lp_feasible(rows, bad)
         seen.add(res.status)
     assert seen == {"feasible", "infeasible"}
 
@@ -1065,7 +1089,7 @@ def test_psi_matches_direct_canonical_lp():
             t = build_T(n, sigma)
             pairs = all_pairs(n)
             canon, d = membership_system(t, n, pairs)
-            direct = lp_feasible(canon, d)
+            direct = lp_feasible(canon, *ints_over(d))
             res = psi_contains(t, n, mode="full")
             assert direct.feasible == res.in_psi
 
@@ -1077,7 +1101,7 @@ def test_lp_feasible_on_control_membership_system():
     t = build_T(n, identity(n))
     pairs = admissible_pairs(t, n)
     canon, d = membership_system(t, n, pairs)
-    direct = lp_feasible(canon, d)
+    direct = lp_feasible(canon, *ints_over(d))
     assert direct.feasible
     assert sum(direct.witness) == 1
 
@@ -1145,7 +1169,6 @@ def test_psi_lp_size_cap(monkeypatch):
         raise AssertionError("Psi LP built above the size cap")
 
     for module, name in ((polytopes, "all_pairs"),
-                         (polytopes, "_full_pairs"),
                          (polytopes, "_full_rung"),
                          (polytopes, "_grouped_rows"),
                          (polytopes, "_class_system")):
