@@ -14,8 +14,6 @@ summed over those cell classes first (polytopes.class_psi_contains).
 
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import compress
 from math import factorial
 
 from .circulants import build_A, build_B, exists_PQ
@@ -39,19 +37,17 @@ def _flat_variables(n: int, sigma: Permutation):
 
 
 def build_T(n: int, sigma: Permutation) -> RatMatrix:
-    """The 0-or-1/n transfer matrix matching variables of B to variables of A."""
+    """The 0-or-1/n transfer matrix matching variables of B to variables of A,
+    built from its int view: scale n, a 1 at each position of S."""
     if sigma.n != n:
         raise ValueError("sigma size does not match n")
     a, b = _flat_variables(n, sigma)
     nn = n * n
     # B's cells sorted by variable: variable m fills by_var[n*(m-1):n*m].
     by_var = sorted(range(nn), key=b.__getitem__)
-    val = Fraction(1, n)
-    data = [[0] * nn for _ in range(nn)]
-    for row, m in zip(data, a):
-        for f in by_var[n * (m - 1):n * m]:
-            row[f] = val
-    return RatMatrix(nn, nn, data)
+    flat = [rf * nn + f for rf, m in enumerate(a)
+            for f in by_var[n * (m - 1):n * m]]
+    return RatMatrix.from_view(nn, nn, n, flat, [1] * len(flat))
 
 
 def verify_transfer_identity(t: RatMatrix, n: int, sigma: Permutation) -> bool:
@@ -83,35 +79,31 @@ def block_structure_report(t: RatMatrix, n: int) -> BlockReport:
     """Each of the four index-pair slices must be 1/n times a permutation matrix.
 
     Slices: fix (i,j) and vary (k,l); fix (k,l) and vary (i,j); fix (i,l)
-    and vary (k,j); fix (k,j) and vary (i,l).  One pass over the nonzeros
-    of t places each in its slice of every family; a slice passes when its
-    nonzeros all equal 1/n and hit each of its rows and columns once.
+    and vary (k,j); fix (k,j) and vary (i,l).  One pass over t's int view
+    places each nonzero in its slice of every family; a slice passes when its
+    nonzeros all equal 1/n (n x = L) and hit each of its rows and columns once.
     """
     nn = n * n
     if t.rows != nn or t.cols != nn:
         raise ValueError("shape mismatch")
     names = ("fix(i,j)", "fix(k,l)", "fix(i,l)", "fix(k,j)")
-    rng = range(n)
-    # (family, fixed pair) -> (rows hit, columns hit), 0-based.  A nonzero
-    # other than 1/n hits column -1, so no slice holding one passes.
-    hits = {(s, a, b): ([], []) for s in range(len(names)) for a in rng
-            for b in rng}
-    val = Fraction(1, n)
-    for rf, row in enumerate(t.data):
-        i, k = divmod(rf, n)
-        for cf in compress(range(nn), row):
-            j, l = divmod(cf, n)
-            good = row[cf] == val
-            # Where ((i,k),(j,l)) falls in each family: (slice, row, column).
-            for key, x, y in (((0, i, j), k, l), ((1, k, l), i, j),
-                              ((2, i, l), k, j), ((3, k, j), i, l)):
-                rows, cols = hits[key]
-                rows.append(x)
-                cols.append(y if good else -1)
-    full = list(rng)
-    failures = [f"{names[s]}[{a + 1},{b + 1}]"
-                for (s, a, b), (rows, cols) in hits.items()
-                if sorted(rows) != full or sorted(cols) != full]
+    mult, flat, ints = t.int_view()
+    # Slice (family s, fixed pair (a, b)), 0-based, at s n^2 + a n + b: bit r
+    # of masks[key] marks row r hit and bit n + c column c, and -1 a value
+    # other than 1/n or a row or column hit twice, so the slice cannot pass.
+    masks = [0] * (4 * nn)
+    for f, x in zip(flat, ints):
+        i, k, j, l = f // (nn * n), f // nn % n, f // n % n, f % n
+        good = x * n == mult
+        # Where ((i,k),(j,l)) falls in each family: (slice, row, column).
+        for key, r, c in ((n*i + j, k, l), (nn + n*k + l, i, j),
+                          (2*nn + n*i + l, k, j), (3*nn + n*k + j, i, l)):
+            bits = 1 << r | 1 << n + c
+            masks[key] = (masks[key] | bits
+                          if good and not masks[key] & bits else -1)
+    full = (1 << 2 * n) - 1
+    failures = [f"{names[key // nn]}[{key // n % n + 1},{key % n + 1}]"
+                for key, hit in enumerate(masks) if hit != full]
     return BlockReport(not failures, failures)
 
 

@@ -4,7 +4,8 @@ Scalars are exact rationals, `int` or `fractions.Fraction`: arbitrary
 precision, always in canonical form (reduced, positive denominator).  Nothing
 in this module ever touches floating point.  The rank and LP feasibility
 both take sparse rows of nonzero ints (SparseMatrix, which refuses anything
-else); dense RatMatrix holds the matrices that are read, built and printed.
+else); dense RatMatrix holds the matrices that are read, built and printed,
+and the stages read its nonzeros as ints, from its kept int view.
 Rows of the form v (e_a - e_b) are contracted first: they join columns into
 classes, and their rank is the number of columns joined.  Fraction-free
 (Bareiss) elimination on the other rows, with each column summed into its
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, compress
 from math import gcd, lcm
-from operator import attrgetter, mul
+from operator import attrgetter
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -44,9 +45,14 @@ class RatMatrix:
     Entries are int or Fraction; both have numerator and denominator.  An
     integer value is held as an int, so divide entries through Fraction:
     int / int is a float.
+
+    int_view() is the nonzeros as integers, (L, flat, ints): flat their
+    row-major positions i * cols + j, increasing, L > 0 the lcm of their
+    denominators and ints[k] = L * entry.  It is read once and kept, as is
+    matvec's grouping of it by column, so the data stays fixed once read.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_view", "_by_col")
 
     def __init__(self, rows: int, cols: int, data):
         if rows < 0 or cols < 0:
@@ -56,6 +62,7 @@ class RatMatrix:
         self.rows = rows
         self.cols = cols
         self.data = data
+        self._view = self._by_col = None
 
     @classmethod
     def from_rows(cls, rows) -> "RatMatrix":
@@ -64,8 +71,28 @@ class RatMatrix:
         return cls(len(data), ncols, data)
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
+    def from_view(cls, rows: int, cols: int, mult: int, flat, ints):
+        """The matrix of the view (mult, flat, ints), flat increasing and
+        ints nonzero, kept as its int_view once divided by gcd(mult, ints)."""
+        g = gcd(mult, *ints)
+        mult, ints = mult // g, tuple(v // g for v in ints)
+        values = {v: Fraction(v, mult) if v % mult else v // mult
+                  for v in set(ints)}  # one object per distinct entry
+        data = [[0] * cols for _ in range(rows)]
+        for f, v in zip(flat, ints):
+            data[f // cols][f % cols] = values[v]
+        m = cls(rows, cols, data)
+        m._view = mult, tuple(flat), ints
+        return m
+
+    def int_view(self):
+        """(L, flat, ints), read from the cells on the first call and kept."""
+        if self._view is None:
+            cells = [*chain.from_iterable(self.data)]
+            mult, ints = clear_denominators([*compress(cells, cells)])
+            self._view = (mult, tuple(compress(range(len(cells)), cells)),
+                          tuple(ints))
+        return self._view
 
     def __eq__(self, other):
         return (
@@ -79,23 +106,24 @@ class RatMatrix:
         return f"RatMatrix({self.rows}x{self.cols})"
 
     def matvec(self, x):
-        """The exact product: x's nonzeros cleared to ints once, then each row
-        summed on them over the lcm of its denominators there, so a row gives
-        an int or one Fraction, and a row of zeros there costs one any()."""
+        """The exact product from the int view: x's nonzeros cleared to ints
+        once, and each added into the rows of its column's nonzeros, over L
+        times x's lcm, so a row gives an int or one Fraction."""
         if len(x) != self.cols:
             raise ValueError("vector length does not match column count")
+        mult, flat, ints = self.int_view()
+        if self._by_col is None:
+            self._by_col = [[] for _ in range(self.cols)]
+            for f, v in zip(flat, ints):
+                self._by_col[f % self.cols].append((f // self.cols, v))
         cols = list(compress(range(len(x)), x))
         xmult, xs = clear_denominators(list(map(x.__getitem__, cols)))
-        out = []
-        for row in self.data:
-            if not any(map(row.__getitem__, cols)):
-                out.append(0)
-                continue
-            mult, ps = clear_denominators(list(map(row.__getitem__, cols)))
-            total, mult = sum(map(mul, ps, xs)), mult * xmult
-            out.append(Fraction(total, mult) if total % mult
-                       else total // mult)
-        return out
+        acc = [0] * self.rows
+        for c, xv in zip(cols, xs):
+            for r, v in self._by_col[c]:
+                acc[r] += v * xv
+        mult *= xmult
+        return [Fraction(v, mult) if v % mult else v // mult for v in acc]
 
 
 class SparseMatrix:

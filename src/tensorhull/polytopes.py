@@ -196,18 +196,17 @@ class PhiCheck:
 def phi_contains(c: RatMatrix, sys: ConstraintSystem) -> PhiCheck:
     """Exact membership: entries >= 0 and every labeled row at zero residual.
 
-    Row r's sum starts at -d_r L, and c's nonzero entries, scaled to ints by
-    the lcm L of their denominators (a positive factor that keeps every
-    sign), are added into the rows that hold their columns (column_rows); a
-    nonzero sum is L times the residual C_r . x - d_r, reported as a Fraction.
+    Row r's sum starts at -d_r L, and the ints of c's int view (its nonzeros
+    times L, the lcm of their denominators, a positive factor that keeps
+    every sign) are added into the rows that hold their columns (column_rows);
+    a nonzero sum is L times the residual C_r . x - d_r, as a Fraction.
     """
     n = sys.n
     nn = n * n
     if c.rows != nn or c.cols != nn:
         raise ValueError(f"matrix must be {nn} x {nn}")
     ti = TensorIndex(n)
-    cols = support_columns(c)
-    mult, xs = clear_denominators([c.data[f // nn][f % nn] for f in cols])
+    mult, cols, xs = c.int_view()
     negative = [(*ti.pair(f // nn), *ti.pair(f % nn))
                 for f, x in zip(cols, xs) if x < 0]
     rows, holders = sys.rows, sys.column_rows()
@@ -239,9 +238,8 @@ def kron_support(p: Permutation, q: Permutation):
 
 
 def support_columns(c: RatMatrix):
-    """Flat variable indices of the nonzero entries of c."""
-    return [rf * c.cols + cf for rf, row in enumerate(c.data)
-            for cf in compress(range(c.cols), row)]
+    """Flat variable indices of the nonzero entries of c (its int view's)."""
+    return c.int_view()[1]
 
 
 def phi_support_rank(c: RatMatrix, sys: ConstraintSystem) -> tuple[int, int]:
@@ -385,13 +383,16 @@ def membership_system(c: RatMatrix, n: int, pairs) -> tuple[SparseMatrix, list]:
 
 
 def weights_reconstruct(weights: dict, n: int) -> RatMatrix:
-    """Sum of weighted Kronecker vertices, as a dense matrix."""
-    nn = n * n
-    m = RatMatrix.zeros(nn, nn)
-    for (p_img, q_img), w in weights.items():
+    """Sum of weighted Kronecker vertices, summed as ints over the lcm of
+    the weights' denominators and built from that int view."""
+    n4 = n ** 4
+    mult, ws = clear_denominators(list(weights.values()))
+    acc = [0] * n4
+    for (p_img, q_img), w in zip(weights, ws):
         for v in kron_support(Permutation(p_img), Permutation(q_img)):
-            m.data[v // nn][v % nn] += w
-    return m
+            acc[v] += w
+    flat = [*compress(range(n4), acc)]
+    return RatMatrix.from_view(n * n, n * n, mult, flat, [*compress(acc, acc)])
 
 
 @lru_cache(maxsize=None)
@@ -510,14 +511,17 @@ def check_lp_size(n: int, cols: int):
 def _checked_rhs(c: RatMatrix, n: int):
     """(L, L times the canonical rhs: c's entries row-major, then the 1 of
     the sum-to-1 row), L > 0 the lcm of the entries' denominators, for an
-    n^2 x n^2 c with no negative entry."""
+    n^2 x n^2 c with no negative entry; written from c's int view."""
     nn = n * n
     if c.rows != nn or c.cols != nn:
         raise ValueError(f"matrix must be {nn} x {nn}")
-    mult, cs = clear_denominators([v for row in c.data for v in row])
-    if any(v < 0 for v in cs):
+    mult, flat, ints = c.int_view()
+    if min(ints, default=0) < 0:
         raise ValueError("matrix has negative entries")
-    return mult, [*cs, mult]
+    rhs = [0] * (nn * nn) + [mult]
+    for f, v in zip(flat, ints):
+        rhs[f] = v
+    return mult, rhs
 
 
 def _decide(c: RatMatrix, n: int, mode: str, pairs, rungs, scaled,

@@ -37,6 +37,22 @@ def printed_transfer_matrix() -> RatMatrix:
     return RatMatrix(16, 16, data)
 
 
+def plain_int_view(m: RatMatrix):
+    """RatMatrix.int_view by a scan of every cell: the row-major positions of
+    the nonzeros, the lcm L of their denominators by math.lcm, and each
+    nonzero times L, a Fraction with denominator 1 read as its numerator."""
+    flat, values = [], []
+    for r in range(m.rows):
+        for c in range(m.cols):
+            if m.data[r][c] != 0:
+                flat.append(r * m.cols + c)
+                values.append(Fraction(m.data[r][c]))
+    mult = math.lcm(*(v.denominator for v in values))
+    scaled = [v * mult for v in values]
+    assert all(v.denominator == 1 for v in scaled)
+    return mult, flat, [v.numerator for v in scaled]
+
+
 def plain_rank(m: RatMatrix | SparseMatrix) -> int:
     """Rank by textbook rational Gaussian elimination (pivot, scale, clear).
 
@@ -179,11 +195,12 @@ def brute_admissible_pairs(c: RatMatrix, n: int):
 
 
 def plain_build_T(n: int, sigma: Permutation) -> RatMatrix:
-    """T by comparing the variables of every cell pair: n^4 comparisons."""
+    """T by comparing the variables of every cell pair: n^4 comparisons.
+    Its entries follow the scalar convention: 1/n, an int at n = 1."""
     a = build_A(n)
     b = build_B(n, sigma)
     ti = TensorIndex(n)
-    val = Fraction(1, n)
+    val = Fraction(1, n) if n > 1 else 1
     nn = n * n
     data = [[0] * nn for _ in range(nn)]
     for i in range(1, n + 1):

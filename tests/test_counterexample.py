@@ -24,10 +24,14 @@ from tensorhull.permutations import (
     identity,
     parse_permutation,
 )
-from tensorhull.polytopes import TensorIndex
+from tensorhull.circulants import build_B
+from tensorhull.polytopes import (TensorIndex, build_phi_constraints,
+                                  phi_contains)
 from helpers import (
+    fraction_matvec,
     plain_block_failures,
     plain_build_T,
+    plain_residuals,
     plain_transfer_identity,
     printed_transfer_matrix,
 )
@@ -113,7 +117,8 @@ def _differential_sigmas():
 
 def _perturbations(t: RatMatrix, n: int, rng):
     """Near misses of T: each cell edit below, then the uniform and the
-    all-zero matrix."""
+    all-zero matrix, then (for n > 1) T with one 1/n doubled and one negated,
+    whose int view has L = n and the ints 2 and -1."""
     nn = n * n
     cells = [(r, c) for r in range(nn) for c in range(nn)]
     ones = [rc for rc in cells if t.data[rc[0]][rc[1]]]
@@ -134,6 +139,9 @@ def _perturbations(t: RatMatrix, n: int, rng):
     yield edited((rng.choice(ones), 0))  # a zeroed 1/n
     yield RatMatrix(nn, nn, [[Fraction(1, nn)] * nn for _ in range(nn)])
     yield RatMatrix(nn, nn, [[0] * nn for _ in range(nn)])
+    if len(ones) > 1:
+        doubled, negated = rng.sample(ones, 2)
+        yield edited((doubled, 2 * val), (negated, -val))
 
 
 def test_T_stages_match_plain_oracles():
@@ -153,19 +161,40 @@ def test_T_stages_match_plain_oracles():
 
 
 def test_block_failures_match_plain_oracle_on_perturbations():
+    # block_structure_report and matvec, which read the int view, against
+    # the cell-by-cell oracles on every near miss of T, and phi_contains on
+    # the last one, T with a 1/n doubled and one negated
     rng = random.Random(72)
     checked = failing = 0
     for sigma in _differential_sigmas():
         n = sigma.n
-        for m in _perturbations(build_T(n, sigma), n, rng):
+        nn = n * n
+        b = [m for row in build_B(n, sigma).entry for m in row]
+        near = list(_perturbations(build_T(n, sigma), n, rng))
+        for m in near:
             report = block_structure_report(m, n)
             expected = plain_block_failures(m, n)
             assert report.failures == expected
             assert report.ok == (not expected)
             assert verify_transfer_identity(m, n, sigma) == \
                 plain_transfer_identity(m, n, sigma)
+            for v in ([int(x == s) for x in b] for s in range(1, n + 1)):
+                got = m.matvec(v)
+                assert got == fraction_matvec(m, v)
+                assert [type(u) for u in got] == [
+                    int if Fraction(u).denominator == 1 else Fraction
+                    for u in got]
             checked += 1
             failing += bool(expected)
+        if n > 1:
+            m, phi, ti = near[-1], build_phi_constraints(n), TensorIndex(n)
+            check = phi_contains(m, phi)
+            assert check.violations == [
+                (label, r) for label, r in zip(phi.labels,
+                                               plain_residuals(phi, m)) if r]
+            assert check.negative_entries == [
+                (*ti.pair(rf), *ti.pair(cf)) for rf in range(nn)
+                for cf in range(nn) if m.data[rf][cf] < 0] != []
     assert checked > 1000 and failing > 1000
 
 
@@ -251,6 +280,31 @@ def test_full_verification_n6_spot_check():
     assert report.confirmed
     assert report.lp_status == LP_SKIPPED
     assert (report.support_rank, report.support_size) == (216, 216)
+
+
+def test_full_verification_reads_T_through_its_view(monkeypatch):
+    # build_T writes T's int view once, and no stage reads T's dense rows or
+    # scans any matrix for a view: with T's data taken away as it is built,
+    # one full_verification at n = 6 still confirms every stage
+    built, scanned = [], []
+    from_view, int_view = RatMatrix.from_view.__func__, RatMatrix.int_view
+
+    def counted_from_view(cls, *args):
+        m = from_view(cls, *args)
+        built.append(m)
+        m.data = None
+        return m
+
+    def counted_int_view(self):
+        if self._view is None:
+            scanned.append(self)
+        return int_view(self)
+
+    monkeypatch.setattr(RatMatrix, "from_view", classmethod(counted_from_view))
+    monkeypatch.setattr(RatMatrix, "int_view", counted_int_view)
+    report = full_verification(6, parse_permutation("(5 6)", 6))
+    assert report.confirmed and not report.red_flags
+    assert len(built) == 1 and scanned == []
 
 
 def test_sigma_size_mismatch():

@@ -30,6 +30,7 @@ from helpers import (
     dense_check_farkas,
     fraction_matvec,
     integer_rows,
+    plain_int_view,
     ints_over,
     plain_rank,
     random_rational_matrix,
@@ -51,7 +52,7 @@ def test_rank_proportional_rows():
 
 def test_rank_empty():
     assert rat_rank(sparse(RatMatrix(0, 0, []))) == 0
-    assert rat_rank(sparse(RatMatrix.zeros(3, 2))) == 0
+    assert rat_rank(sparse(RatMatrix(3, 2, [[0, 0]] * 3))) == 0
     # a stored zero is refused: {0: 0, 1: 0} read as v (e_0 - e_1) would
     # join columns 0 and 1
     with pytest.raises(TypeError):
@@ -245,6 +246,40 @@ def test_matvec_on_T_matches_fraction_oracle(n):
             got = t.matvec(v)
             assert got == fraction_matvec(t, v)
             assert {type(u) for u in got} == {int} and sum(got) == n
+
+
+def test_int_view_matches_cell_scan():
+    # the kept view against a scan of every cell, in flat order, L and the
+    # ints: on T for every sigma up to n = 5, as build_T writes it and as a
+    # copy that reads its own data; on seeded rational matrices with
+    # negative entries, mixed denominators and zeroed rows; on an all-zero
+    # matrix and 1 x 1 ones.  from_view of a view scaled by k rebuilds the
+    # matrix, an integral entry as an int, and keeps the reduced view.
+    rng = random.Random(28)
+    ts = [build_T(n, s) for n in range(1, 6) for s in all_permutations(n)]
+    matrices = ts + [RatMatrix(t.rows, t.cols, t.data) for t in ts]
+    for _ in range(100):
+        m = random_rational_matrix(rng, rng.randint(1, 6), rng.randint(1, 6),
+                                   max_den=rng.choice([1, 4, 9, 12]))
+        for row in rng.sample(m.data, rng.randint(0, m.rows)):
+            row[:] = [0] * m.cols
+        matrices.append(m)
+    matrices += [RatMatrix(3, 4, [[0] * 4] * 3),
+                 RatMatrix(1, 1, [[Fraction(-2, 3)]]),
+                 RatMatrix(1, 1, [[5]]), RatMatrix(1, 1, [[0]])]
+    for m in matrices:
+        mult, flat, ints = plain_int_view(m)
+        view = m.int_view()
+        assert view == (mult, tuple(flat), tuple(ints))
+        assert {type(v) for v in view[2]} <= {int} and m.int_view() is view
+        k = rng.randint(1, 6)
+        again = RatMatrix.from_view(m.rows, m.cols, k * mult, flat,
+                                    [k * v for v in ints])
+        assert again == m and again.int_view() == view
+        assert all(type(v) is (int if Fraction(v).denominator == 1
+                               else Fraction) for row in again.data for v in row)
+    t1 = build_T(1, parse_permutation("()", 1))
+    assert t1.data == [[1]] and type(t1.data[0][0]) is int
 
 
 def test_rank_transpose_invariant():

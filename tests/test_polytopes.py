@@ -59,6 +59,7 @@ from helpers import (
     dense_grouped_system,
     ints_over,
     literal_phi_constraints,
+    plain_int_view,
     plain_residuals,
     random_doubly_stochastic,
     random_permutation,
@@ -139,6 +140,39 @@ def test_kron_examples():
                                      for i in range(1, n + 1)]) for s in (p, q))
             assert kron(p, q) == weights_reconstruct(
                 {(p.image, q.image): 1}, n) == tensor_product(a, b)
+
+
+def test_weights_reconstruct_matches_fraction_sum():
+    # the int sums over the lcm of the weights' denominators against the
+    # plain Fraction sum of weighted dense vertices, on seeded weight dicts
+    # (some weights negative, so cells may cancel) and on dicts scaled so
+    # that their total is an integer; integral entries come back as ints,
+    # and the kept view is the one a scan of the entries reads
+    rng = random.Random(29)
+    for n in (1, 2, 3, 4):
+        nn = n * n
+        pairs = all_pairs(n)
+        for trial in range(24):
+            chosen = rng.sample(pairs, min(len(pairs), rng.randint(1, 6)))
+            weights = {(p.image, q.image): Fraction(
+                rng.randint(-3, 9), rng.choice([1, 2, 3, 4, 6, 10]))
+                for p, q in chosen}
+            if trial % 2:
+                total = sum(weights.values())
+                if total:
+                    scale = rng.randint(1, 3) / total
+                    weights = {k: w * scale for k, w in weights.items()}
+                    assert sum(weights.values()).denominator == 1
+            vertices = [tensor_product(*(RatMatrix(n, n, [
+                [Fraction(int(s(i) == j)) for j in range(1, n + 1)]
+                for i in range(1, n + 1)]) for s in (p, q))) for p, q in chosen]
+            got = weights_reconstruct(weights, n)
+            want = convex_combination(vertices, list(weights.values()))
+            assert got == want and (got.rows, got.cols) == (nn, nn)
+            assert all(type(v) is (int if v.denominator == 1 else Fraction)
+                       for row in got.data for v in row)
+            mult, flat, ints = plain_int_view(got)
+            assert got.int_view() == (mult, tuple(flat), tuple(ints))
 
 
 def test_kron_size_mismatch():
@@ -342,8 +376,8 @@ def test_induced_marginals_examples():
     n = 3
     p, q = random_permutation(rng, n), random_permutation(rng, n)
     alpha, beta = induced_marginals(kron(p, q), n)
-    pm = RatMatrix.zeros(n, n)
-    qm = RatMatrix.zeros(n, n)
+    pm = RatMatrix(n, n, [[0] * n for _ in range(n)])
+    qm = RatMatrix(n, n, [[0] * n for _ in range(n)])
     for i in range(1, n + 1):
         pm.data[i - 1][p(i) - 1] = Fraction(1)
         qm.data[i - 1][q(i) - 1] = Fraction(1)
@@ -1287,7 +1321,7 @@ def test_admissible_pairs_rejects_wrong_shape():
     with pytest.raises(ValueError):
         admissible_pairs(uniform_matrix(2), 3)
     with pytest.raises(ValueError):
-        admissible_pairs(RatMatrix.zeros(4, 5), 2)
+        admissible_pairs(RatMatrix(4, 5, [[0] * 5] * 4), 2)
 
 
 def test_strict_families_variant():
