@@ -4,8 +4,8 @@ Scalars are exact rationals, `int` or `fractions.Fraction`: arbitrary
 precision, always in canonical form (reduced, positive denominator).  Nothing
 in this module ever touches floating point.  The rank and LP feasibility
 both take sparse rows of nonzero ints (SparseMatrix, which refuses anything
-else); dense RatMatrix holds the matrices that are read, built and printed,
-and the stages read its nonzeros as ints, from its kept int view.
+else); RatMatrix holds each matrix as the ints of its nonzeros over one
+lcm, its int view, and writes dense rows only when they are read.
 Rows of the form v (e_a - e_b) are contracted first: they join columns into
 classes, and their rank is the number of columns joined.  Fraction-free
 (Bareiss) elimination on the other rows, with each column summed into its
@@ -29,78 +29,68 @@ INFEASIBLE = "infeasible"
 PIVOTS_PER_ROW = 64
 
 
-def as_rational(value):
-    """An exact scalar: ints and Fractions as they are, strings like '3/4'
-    parsed to Fractions; floats are rejected."""
-    if isinstance(value, (int, Fraction)):
-        return value
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"not an exact rational: {value!r}")
-
-
 class RatMatrix:
-    """Dense matrix of exact rationals, row-major list of row lists.
+    """Matrix of exact rationals, held as its int view (L, flat, ints).
 
-    Entries are int or Fraction; both have numerator and denominator.  An
-    integer value is held as an int, so divide entries through Fraction:
-    int / int is a float.
-
-    int_view() is the nonzeros as integers, (L, flat, ints): flat their
-    row-major positions i * cols + j, increasing, L > 0 the lcm of their
-    denominators and ints[k] = L * entry.  It is read once and kept, as is
-    matvec's grouping of it by column, so the data stays fixed once read.
+    flat holds the row-major positions i * cols + j of the nonzeros,
+    increasing, L > 0 is the lcm of their denominators and ints[k] = L *
+    entry, so gcd(L, *ints) = 1 and equal matrices have equal views.  An
+    entry is an int or a Fraction, and anything else raises TypeError.  data
+    writes fresh dense rows on each read, an integral entry as an int, so
+    divide entries through Fraction: int / int is a float.
     """
 
-    __slots__ = ("rows", "cols", "data", "_view", "_by_col")
+    __slots__ = ("rows", "cols", "_view", "_by_col")
 
     def __init__(self, rows: int, cols: int, data):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
         if len(data) != rows or any(len(r) != cols for r in data):
             raise ValueError("data shape does not match rows x cols")
-        self.rows = rows
-        self.cols = cols
-        self.data = data
-        self._view = self._by_col = None
+        cells = [*chain.from_iterable(data)]
+        if not {int, Fraction}.issuperset(map(type, cells)):
+            raise TypeError("RatMatrix entries are ints or Fractions")
+        mult, ints = clear_denominators([*compress(cells, cells)])
+        self.rows, self.cols, self._by_col = rows, cols, None
+        self._view = (mult, tuple(compress(range(len(cells)), cells)),
+                      tuple(ints))
 
     @classmethod
     def from_rows(cls, rows) -> "RatMatrix":
-        data = [[as_rational(v) for v in row] for row in rows]
-        ncols = len(data[0]) if data else 0
-        return cls(len(data), ncols, data)
+        """The matrix of rows of ints, Fractions and strings like '3/4'."""
+        data = [[Fraction(v) if type(v) is str else v for v in row]
+                for row in rows]
+        return cls(len(data), len(data[0]) if data else 0, data)
 
     @classmethod
     def from_view(cls, rows: int, cols: int, mult: int, flat, ints):
         """The matrix of the view (mult, flat, ints), flat increasing and
-        ints nonzero, kept as its int_view once divided by gcd(mult, ints)."""
+        ints nonzero, kept once divided by gcd(mult, ints)."""
+        m = cls.__new__(cls)
         g = gcd(mult, *ints)
-        mult, ints = mult // g, tuple(v // g for v in ints)
-        values = {v: Fraction(v, mult) if v % mult else v // mult
-                  for v in set(ints)}  # one object per distinct entry
-        data = [[0] * cols for _ in range(rows)]
-        for f, v in zip(flat, ints):
-            data[f // cols][f % cols] = values[v]
-        m = cls(rows, cols, data)
-        m._view = mult, tuple(flat), ints
+        m.rows, m.cols, m._by_col = rows, cols, None
+        m._view = mult // g, tuple(flat), tuple(v // g for v in ints)
         return m
 
     def int_view(self):
-        """(L, flat, ints), read from the cells on the first call and kept."""
-        if self._view is None:
-            cells = [*chain.from_iterable(self.data)]
-            mult, ints = clear_denominators([*compress(cells, cells)])
-            self._view = (mult, tuple(compress(range(len(cells)), cells)),
-                          tuple(ints))
+        """(L, flat, ints), the matrix itself."""
         return self._view
 
+    @property
+    def data(self):
+        """Fresh dense rows from the view, one object per distinct entry."""
+        mult, flat, ints = self._view
+        values = {v: Fraction(v, mult) if v % mult else v // mult
+                  for v in set(ints)}
+        data = [[0] * self.cols for _ in range(self.rows)]
+        for f, v in zip(flat, ints):
+            data[f // self.cols][f % self.cols] = values[v]
+        return data
+
     def __eq__(self, other):
-        return (
-            isinstance(other, RatMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
+        return (isinstance(other, RatMatrix)
+                and (self.rows, self.cols, self._view)
+                == (other.rows, other.cols, other._view))
 
     def __repr__(self):
         return f"RatMatrix({self.rows}x{self.cols})"
@@ -111,7 +101,7 @@ class RatMatrix:
         times x's lcm, so a row gives an int or one Fraction."""
         if len(x) != self.cols:
             raise ValueError("vector length does not match column count")
-        mult, flat, ints = self.int_view()
+        mult, flat, ints = self._view
         if self._by_col is None:
             self._by_col = [[] for _ in range(self.cols)]
             for f, v in zip(flat, ints):
@@ -147,8 +137,9 @@ class SparseMatrix:
 def parse_matrix(text: str) -> RatMatrix:
     """Parse the text format: first line 'rows cols', then one row per line.
 
-    Entries are read by Fraction(entry); an integral one is kept as an int.
-    The entry "0", most cells of a transfer matrix, is read as 0 directly.
+    Entries are read by Fraction(entry), and the nonzeros go straight into
+    the matrix's int view.  The entry "0", most cells of a transfer matrix,
+    is skipped without a Fraction.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -157,25 +148,27 @@ def parse_matrix(text: str) -> RatMatrix:
     if len(head) != 2:
         raise ValueError("header must be 'rows cols'")
     rows, cols = int(head[0]), int(head[1])
+    if rows < 0 or cols < 0:
+        raise ValueError("negative dimensions")
     if len(lines) - 1 != rows:
         raise ValueError(f"expected {rows} rows, got {len(lines) - 1}")
-    data = []
-    for ln in lines[1:]:
+    flat, values = [], []
+    for i, ln in enumerate(lines[1:]):
         entries = ln.split()
         if len(entries) != cols:
             raise ValueError(f"expected {cols} entries per row, got {len(entries)}")
-        row = []
-        for e in entries:
+        for j, e in enumerate(entries):
             if e == "0":
-                row.append(0)
                 continue
             try:
                 v = Fraction(e)
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in entry {e!r}") from None
-            row.append(v.numerator if v.denominator == 1 else v)
-        data.append(row)
-    return RatMatrix(rows, cols, data)
+            if v:
+                flat.append(i * cols + j)
+                values.append(v)
+    mult, ints = clear_denominators(values)
+    return RatMatrix.from_view(rows, cols, mult, flat, ints)
 
 
 def format_matrix(m: RatMatrix) -> str:

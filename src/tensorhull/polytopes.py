@@ -261,9 +261,10 @@ def induced_marginals(c: RatMatrix, n: int,
         raise ValueError("matrix is not in Phi")
     ti = TensorIndex(n)
     rng = range(1, n + 1)
-    alpha = [[sum(c.data[ti.flat(i, 1)][ti.flat(j, l)] for l in rng)
+    data = c.data
+    alpha = [[sum(data[ti.flat(i, 1)][ti.flat(j, l)] for l in rng)
               for j in rng] for i in rng]
-    beta = [[sum(c.data[ti.flat(1, k)][ti.flat(j, l)] for j in rng)
+    beta = [[sum(data[ti.flat(1, k)][ti.flat(j, l)] for j in rng)
              for l in rng] for k in rng]
     return RatMatrix(n, n, alpha), RatMatrix(n, n, beta)
 

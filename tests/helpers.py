@@ -42,11 +42,12 @@ def plain_int_view(m: RatMatrix):
     the nonzeros, the lcm L of their denominators by math.lcm, and each
     nonzero times L, a Fraction with denominator 1 read as its numerator."""
     flat, values = [], []
+    data = m.data
     for r in range(m.rows):
         for c in range(m.cols):
-            if m.data[r][c] != 0:
+            if data[r][c] != 0:
                 flat.append(r * m.cols + c)
-                values.append(Fraction(m.data[r][c]))
+                values.append(Fraction(data[r][c]))
     mult = math.lcm(*(v.denominator for v in values))
     scaled = [v * mult for v in values]
     assert all(v.denominator == 1 for v in scaled)
@@ -247,6 +248,7 @@ def plain_block_failures(t: RatMatrix, n: int):
         "fix(k,j)": lambda a, b, x, y: (ti.flat(x, a), ti.flat(b, y)),
     }
     val = Fraction(1, n)
+    data = t.data
     failures = []
     for name, pick in slices.items():
         for a in rng:
@@ -257,7 +259,7 @@ def plain_block_failures(t: RatMatrix, n: int):
                     hits = []
                     for y in rng:
                         rf, cf = pick(a, b, x, y)
-                        v = t.data[rf][cf]
+                        v = data[rf][cf]
                         if v == val:
                             hits.append(y)
                         elif v:
@@ -297,11 +299,12 @@ def tensor_product(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     n = a.rows
     nn = n * n
     data = [[Fraction(0)] * nn for _ in range(nn)]
+    adata, bdata = a.data, b.data
     for i in range(n):
         for k in range(n):
             for j in range(n):
                 for l in range(n):
-                    data[n * i + k][n * j + l] = a.data[i][j] * b.data[k][l]
+                    data[n * i + k][n * j + l] = adata[i][j] * bdata[k][l]
     return RatMatrix(nn, nn, data)
 
 
@@ -316,10 +319,11 @@ def convex_combination(matrices, weights) -> RatMatrix:
     rows, cols = matrices[0].rows, matrices[0].cols
     data = [[Fraction(0)] * cols for _ in range(rows)]
     for m, w in zip(matrices, weights):
+        mdata = m.data
         for r in range(rows):
             for c in range(cols):
-                if m.data[r][c]:
-                    data[r][c] += w * m.data[r][c]
+                if mdata[r][c]:
+                    data[r][c] += w * mdata[r][c]
     return RatMatrix(rows, cols, data)
 
 
@@ -333,10 +337,11 @@ def brute_lp_feasible(c: RatMatrix, d) -> bool:
     columns or an inconsistent system are skipped.
     """
     d = [Fraction(v) for v in d]
+    data = c.data
     for k in range(min(c.rows, c.cols) + 1):
         for subset in itertools.combinations(range(c.cols), k):
             aug = [[Fraction(row[j]) for j in subset] + [di]
-                   for row, di in zip(c.data, d)]
+                   for row, di in zip(data, d)]
             x = _solve_independent(aug, k)
             if x is not None and all(v >= 0 for v in x):
                 return True
@@ -524,7 +529,8 @@ def literal_phi_constraints(n: int) -> ConstraintSystem:
 def dense_check_farkas(c: RatMatrix, d, y) -> bool:
     """C'y >= 0 in every column and d'y < 0, summed column by column over
     every nonzero entry of the dense rows, in Fractions."""
-    cty = [sum((Fraction(row[j]) * yi for row, yi in zip(c.data, y) if row[j]),
+    data = c.data
+    cty = [sum((Fraction(row[j]) * yi for row, yi in zip(data, y) if row[j]),
                Fraction(0)) for j in range(c.cols)]
     dty = sum((Fraction(di) * yi for di, yi in zip(d, y)), Fraction(0))
     return all(v >= 0 for v in cty) and dty < 0

@@ -45,13 +45,14 @@ def test_build_T_matches_printed_matrix():
 def test_build_T_row_one_positions():
     t = build_T(4, parse_permutation("(3 4)", 4))
     ti = TensorIndex(4)
-    nonzero = [cf for cf in range(16) if t.data[0][cf]]
+    row = t.data[0]
+    nonzero = [cf for cf in range(16) if row[cf]]
     assert [ti.pair(cf) for cf in nonzero] == [(1, 1), (2, 4), (3, 3), (4, 2)]
 
 
 def test_build_T_trivial_and_identity_pattern():
     assert build_T(1, identity(1)) == RatMatrix.from_rows([[1]])
-    t = build_T(4, identity(4))
+    data = build_T(4, identity(4)).data
     ti = TensorIndex(4)
     for i in range(1, 5):
         for k in range(1, 5):
@@ -59,7 +60,7 @@ def test_build_T_trivial_and_identity_pattern():
                 for l in range(1, 5):
                     expected = Fraction(1, 4) if (i + k) % 4 == (j + l) % 4 \
                         else Fraction(0)
-                    assert t.data[ti.flat(i, k)][ti.flat(j, l)] == expected
+                    assert data[ti.flat(i, k)][ti.flat(j, l)] == expected
 
 
 def test_T_support_and_sums():
@@ -121,12 +122,13 @@ def _perturbations(t: RatMatrix, n: int, rng):
     whose int view has L = n and the ints 2 and -1."""
     nn = n * n
     cells = [(r, c) for r in range(nn) for c in range(nn)]
-    ones = [rc for rc in cells if t.data[rc[0]][rc[1]]]
-    zeros = [rc for rc in cells if not t.data[rc[0]][rc[1]]]
+    tdata = t.data
+    ones = [rc for rc in cells if tdata[rc[0]][rc[1]]]
+    zeros = [rc for rc in cells if not tdata[rc[0]][rc[1]]]
     val = Fraction(1, n)
 
     def edited(*changes):
-        data = [list(row) for row in t.data]
+        data = t.data
         for (r, c), v in changes:
             data[r][c] = v
         return RatMatrix(nn, nn, data)
@@ -188,13 +190,14 @@ def test_block_failures_match_plain_oracle_on_perturbations():
             failing += bool(expected)
         if n > 1:
             m, phi, ti = near[-1], build_phi_constraints(n), TensorIndex(n)
+            data = m.data
             check = phi_contains(m, phi)
             assert check.violations == [
                 (label, r) for label, r in zip(phi.labels,
                                                plain_residuals(phi, m)) if r]
             assert check.negative_entries == [
                 (*ti.pair(rf), *ti.pair(cf)) for rf in range(nn)
-                for cf in range(nn) if m.data[rf][cf] < 0] != []
+                for cf in range(nn) if data[rf][cf] < 0] != []
     assert checked > 1000 and failing > 1000
 
 
@@ -283,28 +286,25 @@ def test_full_verification_n6_spot_check():
 
 
 def test_full_verification_reads_T_through_its_view(monkeypatch):
-    # build_T writes T's int view once, and no stage reads T's dense rows or
-    # scans any matrix for a view: with T's data taken away as it is built,
-    # one full_verification at n = 6 still confirms every stage
-    built, scanned = [], []
-    from_view, int_view = RatMatrix.from_view.__func__, RatMatrix.int_view
+    # build_T writes T's int view once, and no stage writes dense rows: one
+    # full_verification at n = 6 confirms every stage with one from_view
+    # build and no read of RatMatrix.data
+    built, reads = [], []
+    from_view, data = RatMatrix.from_view.__func__, RatMatrix.data.fget
 
     def counted_from_view(cls, *args):
-        m = from_view(cls, *args)
-        built.append(m)
-        m.data = None
-        return m
+        built.append(args)
+        return from_view(cls, *args)
 
-    def counted_int_view(self):
-        if self._view is None:
-            scanned.append(self)
-        return int_view(self)
+    def counted_data(self):
+        reads.append(self)
+        return data(self)
 
     monkeypatch.setattr(RatMatrix, "from_view", classmethod(counted_from_view))
-    monkeypatch.setattr(RatMatrix, "int_view", counted_int_view)
+    monkeypatch.setattr(RatMatrix, "data", property(counted_data))
     report = full_verification(6, parse_permutation("(5 6)", 6))
     assert report.confirmed and not report.red_flags
-    assert len(built) == 1 and scanned == []
+    assert len(built) == 1 and reads == []
 
 
 def test_sigma_size_mismatch():

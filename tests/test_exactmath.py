@@ -90,8 +90,9 @@ def test_rank_matches_plain_elimination():
 
 
 def _product(a, b):
+    adata, bdata = a.data, b.data
     return RatMatrix(a.rows, b.cols, [
-        [sum((a.data[i][k] * b.data[k][j] for k in range(a.cols)), Fraction(0))
+        [sum((adata[i][k] * bdata[k][j] for k in range(a.cols)), Fraction(0))
          for j in range(b.cols)] for i in range(a.rows)])
 
 
@@ -214,10 +215,12 @@ def test_matvec_matches_plain_double_loop():
     for _ in range(200):
         m = random_rational_matrix(rng, rng.randint(1, 5), rng.randint(1, 6),
                                    max_den=rng.choice([1, 4, 9]))
-        for row in rng.sample(m.data, rng.randint(0, m.rows)):
+        data = m.data
+        for row in rng.sample(data, rng.randint(0, m.rows)):
             row[:] = [0] * m.cols if rng.random() < 0.5 else [
                 Fraction(rng.randint(-4, 4), rng.choice([2, 3, 6]))
                 for _ in row]
+        m = RatMatrix(m.rows, m.cols, data)
         x = [rng.choice([0, Fraction(0), rng.randint(-3, 3), 6 * rng.randint(
                  -3, 3), Fraction(rng.randint(-5, 5), rng.randint(1, 6))])
              for _ in range(m.cols)]
@@ -249,21 +252,24 @@ def test_matvec_on_T_matches_fraction_oracle(n):
 
 
 def test_int_view_matches_cell_scan():
-    # the kept view against a scan of every cell, in flat order, L and the
-    # ints: on T for every sigma up to n = 5, as build_T writes it and as a
-    # copy that reads its own data; on seeded rational matrices with
-    # negative entries, mixed denominators and zeroed rows; on an all-zero
-    # matrix and 1 x 1 ones.  from_view of a view scaled by k rebuilds the
-    # matrix, an integral entry as an int, and keeps the reduced view.
+    # the view against a scan of every cell, in flat order, L and the ints:
+    # on T for every sigma up to n = 5, as build_T writes it and as a copy
+    # built from its dense rows; on seeded rational matrices with negative
+    # entries, mixed denominators and zeroed rows; on an all-zero matrix and
+    # 1 x 1 ones.  The same matrix built four ways (the dense constructor,
+    # from_rows, from_view of its view scaled by k, and parse_matrix of
+    # format_matrix) has one view, an integral entry reads as an int, and
+    # writing into the rows that .data returns leaves the matrix as it was.
     rng = random.Random(28)
     ts = [build_T(n, s) for n in range(1, 6) for s in all_permutations(n)]
     matrices = ts + [RatMatrix(t.rows, t.cols, t.data) for t in ts]
     for _ in range(100):
         m = random_rational_matrix(rng, rng.randint(1, 6), rng.randint(1, 6),
                                    max_den=rng.choice([1, 4, 9, 12]))
-        for row in rng.sample(m.data, rng.randint(0, m.rows)):
+        data = m.data
+        for row in rng.sample(data, rng.randint(0, m.rows)):
             row[:] = [0] * m.cols
-        matrices.append(m)
+        matrices.append(RatMatrix(m.rows, m.cols, data))
     matrices += [RatMatrix(3, 4, [[0] * 4] * 3),
                  RatMatrix(1, 1, [[Fraction(-2, 3)]]),
                  RatMatrix(1, 1, [[5]]), RatMatrix(1, 1, [[0]])]
@@ -273,11 +279,17 @@ def test_int_view_matches_cell_scan():
         assert view == (mult, tuple(flat), tuple(ints))
         assert {type(v) for v in view[2]} <= {int} and m.int_view() is view
         k = rng.randint(1, 6)
-        again = RatMatrix.from_view(m.rows, m.cols, k * mult, flat,
-                                    [k * v for v in ints])
-        assert again == m and again.int_view() == view
+        data = m.data
+        ways = [RatMatrix(m.rows, m.cols, data), RatMatrix.from_rows(data),
+                RatMatrix.from_view(m.rows, m.cols, k * mult, flat,
+                                    [k * v for v in ints]),
+                parse_matrix(format_matrix(m))]
+        for again in ways:
+            assert again == m and again.int_view() == view
         assert all(type(v) is (int if Fraction(v).denominator == 1
-                               else Fraction) for row in again.data for v in row)
+                               else Fraction) for row in data for v in row)
+        data[0][0] += 1
+        assert m == ways[0] and m.data != data
     t1 = build_T(1, parse_permutation("()", 1))
     assert t1.data == [[1]] and type(t1.data[0][0]) is int
 
@@ -662,6 +674,9 @@ def test_scalars_keep_ints_and_reject_floats():
     assert [type(v) for v in m.data[0]] == [int, int]
     with pytest.raises(TypeError):
         RatMatrix.from_rows([[1, 0.5]])
+    for bad in (0.5, "1/2", True):
+        with pytest.raises(TypeError):
+            RatMatrix(1, 1, [[bad]])
     with pytest.raises(TypeError):
         lp_feasible(sparse(RatMatrix.from_rows([[1, 1]])), [1.0])
     res = lp_feasible(sparse(RatMatrix.from_rows([[1, 2]])), [4])
