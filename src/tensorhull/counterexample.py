@@ -13,7 +13,6 @@ summed over those cell classes first (polytopes.class_psi_contains).
 """
 
 import time
-from dataclasses import dataclass, field
 from math import factorial
 
 from .circulants import build_A, build_B, exists_PQ
@@ -66,10 +65,9 @@ def verify_transfer_identity(t: RatMatrix, n: int, sigma: Permutation) -> bool:
     return True
 
 
-@dataclass
 class BlockReport:
-    ok: bool
-    failures: list
+    def __init__(self, ok: bool, failures: list):
+        self.ok, self.failures = ok, failures
 
     def __bool__(self):
         return self.ok
@@ -119,24 +117,23 @@ def certify_not_in_psi(t: RatMatrix, n: int) -> bool:
     return not admissible_pairs(t, n)
 
 
-@dataclass
 class VerificationReport:
-    """Machine-checkable outcome of the full pipeline for one (n, sigma)."""
+    """Machine-checkable outcome of the full pipeline for one (n, sigma).
 
-    n: int
-    sigma: Permutation
-    sigma_admissible: bool = False
-    factorization_absent: bool = False
-    transfer_identity: bool = False
-    block_structure: bool = False
-    in_phi: bool = False
-    is_vertex: bool = False
-    support_certificate: bool = False
-    lp_status: str = LP_SKIPPED
-    support_size: int = 0
-    support_rank: int = 0
-    red_flags: list = field(default_factory=list)
-    timings: dict = field(default_factory=dict)
+    Every stage's field reads its class default until the stage sets it;
+    red_flags and timings are the report's own list and dict.
+    """
+
+    sigma_admissible = factorization_absent = transfer_identity = False
+    block_structure = in_phi = is_vertex = support_certificate = False
+    lp_status = LP_SKIPPED
+    support_size = support_rank = 0
+
+    def __init__(self, n: int, sigma: Permutation,
+                 red_flags: list | None = None):
+        self.n, self.sigma = n, sigma
+        self.red_flags = [] if red_flags is None else red_flags
+        self.timings = {}
 
     # (stage name, key in the JSON "stages" block, report field), in run
     # order.  Stage names appear in failed_stages, red flags and timings.

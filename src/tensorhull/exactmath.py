@@ -14,7 +14,6 @@ simplex that keeps B^-1 of the basis B as sparse rows at positive scales;
 its witnesses and Farkas vectors are re-checked over the same rows, in ints.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, compress
 from math import gcd, lcm
@@ -279,7 +278,6 @@ def farkas_property():
     return property(farkas)
 
 
-@dataclass
 class Feasibility:
     """Outcome of an exact feasibility question {x >= 0 : Cx = d}.
 
@@ -290,12 +288,13 @@ class Feasibility:
     Both are re-verified before being returned.
     """
 
-    status: str
-    witness: list | None = None
-    certificate: tuple | None = None
-    _farkas: list | None = field(default=None, init=False, repr=False,
-                                 compare=False)
+    _farkas = None
     farkas = farkas_property()
+
+    def __init__(self, status: str, witness: list | None = None,
+                 certificate: tuple | None = None):
+        self.status, self.witness = status, witness
+        self.certificate = certificate
 
     @property
     def feasible(self) -> bool:

@@ -20,7 +20,6 @@ the flat variable index flat(i,k)*n^2 + flat(j,l).
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, product
@@ -60,21 +59,30 @@ class TensorIndex:
         return self.flat(i, k) * self.n * self.n + self.flat(j, l)
 
 
-@dataclass
 class ConstraintSystem:
     """Equality system C x = d with nonnegativity implicit, rows labeled.
 
     Rows are stored sparsely as {flat variable index: integer coefficient}
     and d holds ints; a column_submatrix holds the same ints, as a
-    SparseMatrix.  The column index (column_rows) is built once, on first use.
+    SparseMatrix.  The column index (column_rows) is built once, on first use;
+    equality and repr read the four defining fields only.
     """
 
-    n: int
-    rows: list
-    d: list
-    labels: list
-    _holders: tuple | None = field(default=None, init=False, repr=False,
-                                   compare=False)
+    def __init__(self, n: int, rows: list, d: list, labels: list):
+        self.n, self.rows, self.d, self.labels = n, rows, d, labels
+        self._holders = None
+
+    def _fields(self):
+        return self.n, self.rows, self.d, self.labels
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return ("ConstraintSystem(n={!r}, rows={!r}, d={!r}, labels={!r})"
+                .format(*self._fields()))
 
     @property
     def nrows(self) -> int:
@@ -115,65 +123,61 @@ def build_phi_constraints(n: int) -> ConstraintSystem:
     balance rows each, every coefficient an int.  Families 3 and 4
     distinguish the inner index k (k=2..n with i,j free), mirroring families
     1 and 2.  The literal reading (i=2..n with j,k free) defines the same
-    affine space; the tests keep it as their reference.  Every row keys a
-    column on one shared int, and check_phi_size runs first.
+    affine space; the tests keep it as their reference.  check_phi_size runs
+    first.
+
+    With 0-based indices, ((i,k),(j,l)) is column i n^3 + k n^2 + j n + l,
+    so each row's +1 and -1 terms are strided slices of one list of the n^4
+    column ints (every row keys a column on the same int object).  In
+    families 2 and 4 the first +1 term is also a -1 term; it cancels, and
+    both slices skip it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     check_phi_size(n)
-    ti = TensorIndex(n)
-    key = list(range(n ** 4)).__getitem__  # one shared int per column
+    n2, n3, n4 = n * n, n ** 3, n ** 4
+    cols = list(range(n4))
     rows, d, labels = [], [], []
 
-    def add(row: dict, rhs: int, label: str):
-        rows.append({key(c): v for c, v in row.items() if v})
+    def add(label: str, plus, minus=(), rhs: int = 0):
+        row = dict.fromkeys(plus, 1)
+        row.update(dict.fromkeys(minus, -1))
+        rows.append(row)
         d.append(rhs)
         labels.append(label)
 
-    rng = range(1, n + 1)
-    for i in rng:
-        for k in rng:
-            add({ti.var(i, k, j, l): 1 for j in rng for l in rng}, 1,
-                f"rowsum[{i},{k}]")
-            add({ti.var(j, l, i, k): 1 for j in rng for l in rng}, 1,
-                f"colsum[{i},{k}]")
-
-    def balance(lhs_terms, rhs_terms, label):
-        row: dict[int, int] = {}
-        for v in lhs_terms:
-            row[v] = row.get(v, 0) + 1
-        for v in rhs_terms:
-            row[v] = row.get(v, 0) - 1
-        add(row, 0, label)
-
-    for i in range(2, n + 1):
-        for k in rng:
-            for l in rng:
-                balance((ti.var(i, k, j, l) for j in rng),
-                        (ti.var(1, k, j, l) for j in rng),
-                        f"fam1[i={i},k={k},l={l}]")
-    for i in range(2, n + 1):
-        for k in rng:
-            for l in rng:
-                balance((ti.var(j, k, i, l) for j in rng),
-                        (ti.var(1, k, j, l) for j in rng),
-                        f"fam2[i={i},k={k},l={l}]")
-    fam34_outer = [(i, k) for k in range(2, n + 1) for i in rng]
-    for i, k in fam34_outer:
-        for j in rng:
-            balance((ti.var(i, k, j, l) for l in rng),
-                    (ti.var(i, 1, j, l) for l in rng),
-                    f"fam3[i={i},k={k},j={j}]")
-    for i, k in fam34_outer:
-        for j in rng:
-            balance((ti.var(i, l, j, k) for l in rng),
-                    (ti.var(i, 1, j, l) for l in rng),
-                    f"fam4[i={i},k={k},j={j}]")
+    rng = range(n)
+    for i, k in product(rng, rng):
+        f = i * n + k
+        add(f"rowsum[{i + 1},{k + 1}]", cols[f * n2:(f + 1) * n2], rhs=1)
+        add(f"colsum[{i + 1},{k + 1}]", cols[f::n2], rhs=1)
+    # Families 1 and 2 (i >= 2): +1 at ((i,k),(j,l)) or at ((j,k),(i,l)) for
+    # every j, -1 at ((1,k),(j,l)) for every j; lo is ((1,k),(1,l)).
+    for i, k, l in product(range(1, n), rng, rng):
+        lo = k * n2 + l
+        add(f"fam1[i={i + 1},k={k + 1},l={l + 1}]",
+            cols[i * n3 + lo:i * n3 + lo + n2:n], cols[lo:lo + n2:n])
+    for i, k, l in product(range(1, n), rng, rng):
+        lo = k * n2 + l
+        s = lo + i * n
+        add(f"fam2[i={i + 1},k={k + 1},l={l + 1}]",
+            cols[s + n3::n3], cols[lo:s:n] + cols[s + n:lo + n2:n])
+    # Families 3 and 4 (k >= 2): +1 at ((i,k),(j,l)) or at ((i,l),(j,k)) for
+    # every l, -1 at ((i,1),(j,l)) for every l; lo is ((i,1),(j,1)).
+    for k, i, j in product(range(1, n), rng, rng):
+        lo = i * n3 + j * n
+        add(f"fam3[i={i + 1},k={k + 1},j={j + 1}]",
+            cols[lo + k * n2:lo + k * n2 + n], cols[lo:lo + n])
+    for k, i, j in product(range(1, n), rng, rng):
+        lo = i * n3 + j * n
+        s = lo + k
+        add(f"fam4[i={i + 1},k={k + 1},j={j + 1}]",
+            cols[s + n2:(i + 1) * n3:n2], cols[lo:s] + cols[s + 1:lo + n])
     return ConstraintSystem(n, rows, d, labels)
 
 
 def check_phi_size(n: int):
-    """Refuse a Phi system above the n = 32 one (8 s and 757 MB for verify):
+    """Refuse a Phi system above the n = 32 one (4 s and 751 MB for verify):
     n^2 entries per sum row, 2n in families 1 and 3, 2n - 2 in 2 and 4."""
     if n > 32:
         entries = 2 * n ** 4 + 4 * n ** 3 * (n - 1) + 4 * (n * n - n) ** 2
@@ -181,13 +185,12 @@ def check_phi_size(n: int):
                          "more than the n=32 one (10096640)")
 
 
-@dataclass
 class PhiCheck:
     """Outcome of a Phi membership test with per-row diagnostics."""
 
-    ok: bool
-    negative_entries: list
-    violations: list  # (label, residual) pairs
+    def __init__(self, ok: bool, negative_entries: list, violations: list):
+        self.ok, self.negative_entries = ok, negative_entries
+        self.violations = violations  # (label, residual) pairs
 
     def __bool__(self):
         return self.ok
@@ -273,7 +276,6 @@ def induced_marginals(c: RatMatrix, n: int,
 # Psi membership
 # ---------------------------------------------------------------------------
 
-@dataclass
 class MembershipResult:
     """Verdict of the Psi membership LP.
 
@@ -285,15 +287,16 @@ class MembershipResult:
     being returned; ``farkas`` reads it as Fractions, built on first read.
     """
 
-    in_psi: bool
-    mode: str
-    pairs: list
-    weights: dict | None = None
-    certificate: tuple | None = None
-    admissible_count: int | None = None
-    _farkas: list | None = field(default=None, init=False, repr=False,
-                                 compare=False)
+    _farkas = None
     farkas = farkas_property()
+
+    def __init__(self, in_psi: bool, mode: str, pairs: list,
+                 weights: dict | None = None,
+                 certificate: tuple | None = None,
+                 admissible_count: int | None = None):
+        self.in_psi, self.mode, self.pairs = in_psi, mode, pairs
+        self.weights, self.certificate = weights, certificate
+        self.admissible_count = admissible_count
 
 
 @lru_cache(maxsize=None)

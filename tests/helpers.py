@@ -14,7 +14,8 @@ from tensorhull.circulants import build_A, build_B
 from tensorhull.exactmath import RatMatrix, SparseMatrix
 from tensorhull.permutations import Permutation, all_permutations
 from tensorhull.polytopes import (ConstraintSystem, TensorIndex,
-                                  build_phi_constraints, kron_support)
+                                  build_phi_constraints, check_phi_size,
+                                  kron_support)
 
 # The published 16x16 transfer matrix for n=4, sigma=(3 4), transcribed by
 # hand as the 1-based column positions of the 1/4 entries in each row.
@@ -497,6 +498,64 @@ def ints_over(d, extra=1):
     factors with it when extra > 1."""
     scale = extra * math.lcm(*(Fraction(v).denominator for v in d))
     return [int(Fraction(v) * scale) for v in d], scale
+
+
+def var_phi_constraints(n: int) -> ConstraintSystem:
+    """build_phi_constraints(n) written entry by entry through
+    TensorIndex.var, the reference for its flat-index slices: the same rows
+    with the same key order, labels and d."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    check_phi_size(n)
+    ti = TensorIndex(n)
+    key = list(range(n ** 4)).__getitem__  # one shared int per column
+    rows, d, labels = [], [], []
+
+    def add(row: dict, rhs: int, label: str):
+        rows.append({key(c): v for c, v in row.items() if v})
+        d.append(rhs)
+        labels.append(label)
+
+    rng = range(1, n + 1)
+    for i in rng:
+        for k in rng:
+            add({ti.var(i, k, j, l): 1 for j in rng for l in rng}, 1,
+                f"rowsum[{i},{k}]")
+            add({ti.var(j, l, i, k): 1 for j in rng for l in rng}, 1,
+                f"colsum[{i},{k}]")
+
+    def balance(lhs_terms, rhs_terms, label):
+        row: dict[int, int] = {}
+        for v in lhs_terms:
+            row[v] = row.get(v, 0) + 1
+        for v in rhs_terms:
+            row[v] = row.get(v, 0) - 1
+        add(row, 0, label)
+
+    for i in range(2, n + 1):
+        for k in rng:
+            for l in rng:
+                balance((ti.var(i, k, j, l) for j in rng),
+                        (ti.var(1, k, j, l) for j in rng),
+                        f"fam1[i={i},k={k},l={l}]")
+    for i in range(2, n + 1):
+        for k in rng:
+            for l in rng:
+                balance((ti.var(j, k, i, l) for j in rng),
+                        (ti.var(1, k, j, l) for j in rng),
+                        f"fam2[i={i},k={k},l={l}]")
+    fam34_outer = [(i, k) for k in range(2, n + 1) for i in rng]
+    for i, k in fam34_outer:
+        for j in rng:
+            balance((ti.var(i, k, j, l) for l in rng),
+                    (ti.var(i, 1, j, l) for l in rng),
+                    f"fam3[i={i},k={k},j={j}]")
+    for i, k in fam34_outer:
+        for j in rng:
+            balance((ti.var(i, l, j, k) for l in rng),
+                    (ti.var(i, 1, j, l) for l in rng),
+                    f"fam4[i={i},k={k},j={j}]")
+    return ConstraintSystem(n, rows, d, labels)
 
 
 def literal_phi_constraints(n: int) -> ConstraintSystem:

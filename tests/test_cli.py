@@ -1,6 +1,7 @@
 """End-to-end CLI behavior, exit codes, and golden outputs."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -21,6 +22,19 @@ def test_help():
     result = run_cli("--help")
     assert result.returncode == 0
     assert "usage:" in result.stdout.lower()
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    # a fresh CLI process pays for every module it imports; pytest itself
+    # loads dataclasses, so the import runs in a new interpreter
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tensorhull.cli; print('dataclasses' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 def test_build_T_matches_golden_bytes():

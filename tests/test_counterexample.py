@@ -148,14 +148,13 @@ def _perturbations(t: RatMatrix, n: int, rng):
 
 def test_T_stages_match_plain_oracles():
     # build_T and the transfer identity read the support S directly; the
-    # oracles compare the variables of every cell pair
+    # oracles compare the variables of every cell pair.  At n = 1 the one
+    # entry 1/n is the int 1: its view is scale 1 and int 1 at position 0
+    assert build_T(1, identity(1)).int_view() == (1, (0,), (1,))
     for sigma in _differential_sigmas():
         n = sigma.n
         t = build_T(n, sigma)
-        plain = plain_build_T(n, sigma)
-        assert t == plain
-        assert [list(map(type, row)) for row in t.data] == \
-            [list(map(type, row)) for row in plain.data]
+        assert t == plain_build_T(n, sigma)
         assert verify_transfer_identity(t, n, sigma)
         assert plain_transfer_identity(t, n, sigma)
         assert block_structure_report(t, n).failures == \
@@ -235,6 +234,39 @@ def test_full_verification_flagship():
         "phi_membership", "phi_vertex", "psi_certificate", "psi_lp"]
     assert list(report.timings) == [
         name for name, _, _ in VerificationReport.STAGES]
+
+
+def test_fresh_report_defaults_and_own_containers():
+    # a report starts with every stage unset: the bool stages False, the LP
+    # skipped, an empty support; each report has its own red_flags and timings
+    sigma = parse_permutation("(3 4)", 4)
+    report = VerificationReport(n=4, sigma=sigma)
+    other = VerificationReport(n=4, sigma=sigma)
+    assert [getattr(report, attr) for _, _, attr in
+            VerificationReport.STAGES] == [False] * 7 + [LP_SKIPPED]
+    assert report.to_dict() == {
+        "n": 4,
+        "sigma": {"image": [1, 2, 4, 3], "cycles": "(3 4)"},
+        "stages": {"admissibility": False,
+                   "pattern_factorization_absent": False,
+                   "transfer_identity": False, "block_structure": False,
+                   "phi_membership": False, "phi_vertex": False,
+                   "psi_support_certificate": False, "psi_lp": "skipped"},
+        "support": {"size": 0, "rank": 0},
+        "confirmed": False,
+        "failed_stages": ["admissibility", "pattern_search", "transfer",
+                          "block_structure", "phi_membership", "phi_vertex",
+                          "psi_certificate"],
+        "red_flags": [],
+        "timings": {},
+    }
+    assert report.red_flags is not other.red_flags
+    assert report.timings is not other.timings
+    report.red_flags.append("flag")
+    report.timings["admissibility"] = 0.5
+    assert other.red_flags == [] and other.timings == {}
+    flagged = VerificationReport(n=4, sigma=sigma, red_flags=["divergence"])
+    assert flagged.red_flags == ["divergence"] and not flagged.confirmed
 
 
 def test_full_verification_control():

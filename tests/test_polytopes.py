@@ -69,6 +69,7 @@ from helpers import (
     shift_pair,
     supports_verify_psi_farkas,
     tensor_product,
+    var_phi_constraints,
 )
 
 
@@ -1436,7 +1437,8 @@ def test_column_submatrix_matches_dense_oracle(n, strict):
 def test_column_index_is_lazy_and_kept():
     # the index is built by the first query, not when the system is made,
     # and the same tuple serves every later phi_contains and
-    # column_submatrix; it holds, per column, the rows whose dict has it
+    # column_submatrix; it holds, per column, the rows whose dict has it.
+    # Equality and repr read n, rows, d and labels, never the index
     sys = literal_phi_constraints(3)
     assert sys._holders is None
     holders = sys.column_rows()
@@ -1447,7 +1449,10 @@ def test_column_index_is_lazy_and_kept():
     assert sys.column_rows() is holders is sys._holders
     copy = ConstraintSystem(sys.n, sys.rows, sys.d, sys.labels)
     assert copy == sys and copy._holders is None
-    assert "_holders" not in repr(copy)
+    assert copy != ConstraintSystem(3, [], [], [])
+    assert copy != (sys.n, sys.rows, sys.d, sys.labels)
+    assert repr(copy) == (f"ConstraintSystem(n=3, rows={sys.rows!r}, "
+                          f"d={sys.d!r}, labels={sys.labels!r})")
 
 
 def test_phi_rows_share_one_int_per_column():
@@ -1458,6 +1463,31 @@ def test_phi_rows_share_one_int_per_column():
     for row in sys.rows:
         for c in row:
             assert keys.setdefault(c, c) is c
+
+
+def test_phi_rows_match_entry_by_entry_builder():
+    # the flat-index slices against the rows written entry by entry through
+    # TensorIndex.var: the same rows with the same key order, labels and d;
+    # at n = 6 all rows key their columns on n^4 int objects, one per column
+    for n in range(1, 7):
+        sys, ref = build_phi_constraints(n), var_phi_constraints(n)
+        assert [list(row.items()) for row in sys.rows] == \
+            [list(row.items()) for row in ref.rows]
+        assert sys.labels == ref.labels and sys.d == ref.d
+    assert len({id(c) for row in sys.rows for c in row}) == 6 ** 4
+
+
+def test_farkas_fractions_built_once():
+    # .farkas reads the certificate (ints, scale) as Fractions on first use
+    # and keeps them; a feasible answer has none
+    t = build_T(4, parse_permutation("(3 4)", 4))
+    for res in (psi_contains(t, 4, mode="full"),
+                lp_feasible(SparseMatrix(1, 2, [{0: 1, 1: 1}]), [-1])):
+        ys, scale = res.certificate
+        first = res.farkas
+        assert first == [Fraction(v, scale) for v in ys]
+        assert res.farkas is first
+    assert lp_feasible(SparseMatrix(1, 2, [{0: 1, 1: 1}]), [1]).farkas is None
 
 
 def test_column_submatrix_refuses_duplicate_columns():
