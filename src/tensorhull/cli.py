@@ -204,15 +204,17 @@ def cmd_psi_oracle(args) -> int:
     mode = args.mode.replace("-", "_")
     result = polytopes.psi_contains(m, args.n, mode=mode)
     # Re-verify before printing: reconstruction for witnesses, farkas check
-    # for certificates (psi_contains already did; this guards the printout).
+    # for certificates (psi_contains already did; this guards the printout),
+    # over the certificate's ints and the canonical rhs as ints.
     if result.in_psi:
         recon = polytopes.weights_reconstruct(result.weights, args.n)
         total = sum(result.weights.values())
         verified = recon == m and total == 1
     else:
+        canon, _ = polytopes.membership_system(m, args.n, result.pairs)
+        verified = check_farkas(canon, polytopes._checked_rhs(m, args.n)[1],
+                                result.certificate[0])
         farkas = result.farkas
-        canon, d = polytopes.membership_system(m, args.n, result.pairs)
-        verified = check_farkas(canon, d, farkas)
     if not verified:
         print("internal error: certificate failed re-verification",
               file=sys.stderr)

@@ -10,14 +10,15 @@ Rows of the form v (e_a - e_b) are contracted first: they join columns into
 classes, and their rank is the number of columns joined.  Fraction-free
 (Bareiss) elimination on the other rows, with each column summed into its
 class, gives the rest of the rank exactly.  LP feasibility is a revised
-simplex that keeps B^-1 of the basis B as sparse rows at positive scales;
-its witnesses and Farkas vectors are re-checked over the same rows, in ints.
+simplex that keeps B^-1 of the basis B as sparse rows at positive scales,
+its reduced costs started from C's column sums, kept on the matrix; its
+witnesses and Farkas vectors are re-checked over the same rows, in ints.
 """
 
 from fractions import Fraction
 from itertools import chain, compress
 from math import gcd, lcm
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -120,25 +121,26 @@ class SparseMatrix:
 
     Every value is a nonzero int: a Fraction, a bool or a stored zero raises
     TypeError here, the one check that rat_rank and lp_feasible rely on.  The
-    first lp_feasible over it keeps _simplex_index on it: rows stay fixed.
+    first lp_feasible over it keeps _simplex_index (the column index, the
+    column sums and the rows by value) on it: rows stay fixed.
     """
 
-    __slots__ = ("rows", "cols", "data", "_simplex")
+    __slots__ = ("rows", "cols", "data", "_simplex", "_colsums", "_by_value")
 
     def __init__(self, rows: int, cols: int, data):
         values = [*chain.from_iterable(map(dict.values, data))]
         if not all(values) or not {int}.issuperset(map(type, values)):
             raise TypeError("SparseMatrix rows hold nonzero ints only")
         self.rows, self.cols, self.data = rows, cols, data
-        self._simplex = None
+        self._simplex = self._colsums = self._by_value = None
 
 
 def parse_matrix(text: str) -> RatMatrix:
     """Parse the text format: first line 'rows cols', then one row per line.
 
-    Entries are read by Fraction(entry), and the nonzeros go straight into
-    the matrix's int view.  The entry "0", most cells of a transfer matrix,
-    is skipped without a Fraction.
+    Entries are read by Fraction(entry), once per distinct entry text, and
+    the nonzeros go straight into the matrix's int view.  The entry "0",
+    most cells of a transfer matrix, is skipped without a Fraction.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -151,7 +153,7 @@ def parse_matrix(text: str) -> RatMatrix:
         raise ValueError("negative dimensions")
     if len(lines) - 1 != rows:
         raise ValueError(f"expected {rows} rows, got {len(lines) - 1}")
-    flat, values = [], []
+    flat, values, parsed = [], [], {}
     for i, ln in enumerate(lines[1:]):
         entries = ln.split()
         if len(entries) != cols:
@@ -159,10 +161,11 @@ def parse_matrix(text: str) -> RatMatrix:
         for j, e in enumerate(entries):
             if e == "0":
                 continue
-            try:
-                v = Fraction(e)
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in entry {e!r}") from None
+            if (v := parsed.get(e)) is None:
+                try:
+                    v = parsed[e] = Fraction(e)
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in entry {e!r}") from None
             if v:
                 flat.append(i * cols + j)
                 values.append(v)
@@ -318,13 +321,14 @@ def check_farkas(c_matrix: SparseMatrix, d, y) -> bool:
     """Independent check that y certifies infeasibility of {x>=0 : Cx=d}.
 
     y and d are each scaled once by the lcm of their denominators, positive
-    factors that keep the sign of every entry of C'y and of d'y; C's rows
-    are ints, so the sums then run over ints, one term per nonzero of C.
+    factors that keep the sign of every entry of C'y and of d'y, and a
+    vector of ints is read as it is; C's rows are ints, so the sums then run
+    over ints, one term per nonzero of C.
     """
     if len(d) != c_matrix.rows or len(y) != c_matrix.rows:
         raise ValueError("dimension mismatch")
-    _, ys = clear_denominators(y)
-    _, ds = clear_denominators(d)
+    ys, ds = (v if {int}.issuperset(map(type, v)) else clear_denominators(v)[1]
+              for v in (y, d))
     acc = [0] * c_matrix.cols
     dty = 0
     for row, di, yi in zip(c_matrix.data, ds, ys):
@@ -355,18 +359,21 @@ def lp_feasible(c_matrix: SparseMatrix, d, scale: int = 1) -> Feasibility:
         raise ValueError("scale must be a positive int")
     if not {int}.issuperset(map(type, d)):
         raise TypeError("d holds ints only, over scale")
-    status, out = _phase1_simplex(c_matrix.data, _simplex_index(c_matrix),
-                                  d, scale, nvars)
+    cols, colsums, by_value = _simplex_index(c_matrix)
+    status, out = _phase1_simplex(cols, colsums, by_value, d, scale, nvars)
     if status == FEASIBLE:
         x = out
         if any(v < 0 for v in x):
             raise AssertionError("simplex returned a negative witness entry")
-        # C x = d / scale, with x's nonzeros scaled to ints by their lcm.
+        # C x = d / scale, with x's nonzeros scaled to ints by their lcm and
+        # added in through their columns of C.
         support = [j for j, v in enumerate(x) if v]
         mult, xs = clear_denominators([x[j] for j in support])
-        xs = dict(zip(support, xs))
-        if any(sum(row[j] * xs[j] for j in row.keys() & xs) * scale
-               != di * mult for row, di in zip(c_matrix.data, d)):
+        acc = [0] * m
+        for j, xj in zip(support, xs):
+            for i, v in cols[j]:
+                acc[i] += v * xj
+        if any(a * scale != di * mult for a, di in zip(acc, d)):
             raise AssertionError("simplex witness failed re-substitution")
         return Feasibility(FEASIBLE, witness=x)
     if not check_farkas(c_matrix, d, out[0]):
@@ -375,44 +382,60 @@ def lp_feasible(c_matrix: SparseMatrix, d, scale: int = 1) -> Feasibility:
 
 
 def _simplex_index(c_matrix: SparseMatrix):
-    """The column index of C, the simplex's set-up that reads only C, built
-    once and kept on c_matrix: cols[j] lists the (i, C[i][j]) of column j,
-    one tuple per distinct (i, value), shared by columns.
+    """(cols, colsums, by_value), the simplex's set-up that reads only C,
+    built once and kept on c_matrix: cols[j] lists the (i, C[i][j]) of
+    column j, one tuple per (i, value), shared by columns; colsums[j] is
+    the sum of column j; by_value[i] lists (value, columns) per distinct
+    value of row i, one pair over the row's keys for a row of one value
+    (every Psi LP row).
     """
     if c_matrix._simplex is None:
-        shared = {}
         cols = [[] for _ in range(c_matrix.cols)]
+        by_value = []
         for i, row in enumerate(c_matrix.data):
-            for j, v in row.items():
-                cols[j].append(shared.setdefault((i, v), (i, v)))
-        c_matrix._simplex = cols
-    return c_matrix._simplex
+            if len(values := set(row.values())) == 1:
+                runs = [(values.pop(), row.keys())]
+            else:
+                runs = {}
+                for j, v in row.items():
+                    runs.setdefault(v, []).append(j)
+                runs = [*runs.items()]
+            for v, js in runs:
+                entry = (i, v)
+                for j in js:
+                    cols[j].append(entry)
+            by_value.append(runs)
+        c_matrix._colsums = [sum(map(itemgetter(1), col)) for col in cols]
+        c_matrix._simplex, c_matrix._by_value = cols, by_value
+    return c_matrix._simplex, c_matrix._colsums, c_matrix._by_value
 
 
-def _phase1_simplex(arows, cols, d, scale, nvars):
+def _phase1_simplex(cols, colsums, by_value, d, scale, nvars):
     """Phase-1 revised simplex over integer data: (FEASIBLE, x), x's
     entries Fractions, or (INFEASIBLE, (ints, zscale)), Farkas y = ints/zscale.
 
-    arows are the integer rows of C, cols its _simplex_index, and d / scale
-    the rhs.  Row i of [C | d / scale] is scaled to integers with rhs >= 0
-    by mults[i], den(d_i / scale) with the sign of d_i.  An artificial
-    column e_i is added, so the first basis is the artificials and the
-    tableau is always B^-1 [A | I | b].  Only two parts of it are kept:
+    cols, colsums and by_value are C's _simplex_index, and d / scale the
+    rhs.  Row i of [C | d / scale] is scaled to integers with rhs >= 0 by
+    mults[i], den(d_i / scale) with the sign of d_i.  An artificial column
+    e_i is added, so the first basis is the artificials and the tableau is
+    always B^-1 [A | I | b].  Only two parts of it are kept:
 
     - binv[i], row i of [B^-1 | B^-1 b] as a sparse {column: int} (the rhs
       under key m), held at its own positive scale;
     - zc and za, the reduced costs of [A | I | b] (for min sum of
       artificials), times the positive integer zscale.
 
-    Each pivot builds the entering column B^-1 A_e from the sparse columns
-    of A, rewrites in place only the rows where it is nonzero and only at
-    the pivot row's keys, and updates z through the pivot row
-    [binv[r] A | binv[r]].  A row, or z, is multiplied only when the pivot
-    does not divide its entry, and only then divided by its gcd again.  The
-    rules read only ratios inside one row and comparisons inside z, so the
-    positive scales leave the pivot sequence that of the full tableau.
+    zc starts from minus the column sums, corrected only on the rows whose
+    mults[i] is not 1 (most rows have d_i = 0).  Each pivot builds the
+    entering column B^-1 A_e from the sparse columns of A, rewrites in place
+    only the rows where it is nonzero and only at the pivot row's keys, and
+    updates z through the pivot row [binv[r] A | binv[r]].  A row, or z, is
+    multiplied only when the pivot does not divide its entry, and only then
+    divided by its gcd again.  The rules read only ratios inside one row and
+    comparisons inside z, so the positive scales leave the pivot sequence
+    that of the full tableau.
     """
-    m = len(arows)
+    m = len(by_value)
     if m == 0:
         return FEASIBLE, [0] * nvars
     # Flip signs so rhs >= 0; mults[i] maps certificates back to row i of C.
@@ -422,11 +445,16 @@ def _phase1_simplex(arows, cols, d, scale, nvars):
     binv = [{i: 1, m: b} if b else {i: 1} for i, b in enumerate(rhs)]
     holders = [{i} for i in range(m)]  # holders[k]: rows i with k in binv[i]
     # Phase-1 reduced costs, zc on the structural columns (0 - the column
-    # sums) and za on the artificials (1 - 1 = 0) and the rhs (index m).
-    zc, za = [0] * nvars, [0] * m + [-sum(rhs)]
-    for f, row in zip(mults, arows):
-        for j, v in row.items():
-            zc[j] -= f * v
+    # sums of the scaled rows) and za on the artificials (1 - 1 = 0) and the
+    # rhs (index m).
+    zc, za = [-v for v in colsums], [0] * m + [-sum(rhs)]
+    for f, row in zip(mults, by_value):
+        if f != 1:
+            f -= 1
+            for v, js in row:
+                v *= f
+                for j in js:
+                    zc[j] -= v
     zscale = 1
     basis = list(range(nvars, nvars + m))
     budget = PIVOTS_PER_ROW * m
@@ -440,34 +468,25 @@ def _phase1_simplex(arows, cols, d, scale, nvars):
         budget -= 1
         enter = zc.index(best)
         col = {}
+        get = col.get
         for k, v in cols[enter]:
             v *= mults[k]
             for i in holders[k]:
-                col[i] = col.get(i, 0) + binv[i][k] * v
-        col = {i: a for i, a in col.items() if a}
+                col[i] = get(i, 0) + binv[i][k] * v
         cands = [i for i, a in col.items() if a > 0]
         if not cands:
             # Phase-1 objective is bounded below by 0, so this cannot happen.
             raise AssertionError("phase-1 ratio test found no pivot row")
         # Lexicographic ratio test on (rhs, artificial columns): every rhs is
-        # >= 0, so zero-rhs rows win first; then each artificial column in
-        # turn keeps the rows of least ratio.  Columns no survivor holds tie
-        # them all, and so does the rhs key m, which sorts last.
+        # >= 0, so zero-rhs rows win first, then the rows of least rhs ratio;
+        # _lex_least breaks a tie on the artificial columns.
         cands = ([i for i in cands if m not in binv[i]]
-                or _least_ratio(cands, m, binv, col))
-        if len(cands) > 1:
-            for k in sorted(set().union(*(binv[i] for i in cands))):
-                cands = _least_ratio(cands, k, binv, col)
-                if len(cands) == 1:
-                    break
-            else:
-                # Rows tied on every key would have proportional B^-1 rows.
-                raise AssertionError("lexicographic ratio test left a tie")
-        r = cands[0]
+                 or _least_ratio(cands, m, binv, col))
+        r = cands[0] if len(cands) == 1 else _lex_least(cands, binv, col)
         prow = binv[r]
         piv = col[r]
         for i, a in col.items():
-            if i == r:
+            if i == r or not a:
                 continue
             g = gcd(piv, a)
             f, h = piv // g, a // g
@@ -475,8 +494,7 @@ def _phase1_simplex(arows, cols, d, scale, nvars):
             if f != 1:
                 row = binv[i] = {k: f * v for k, v in row.items()}
             for k, v in prow.items():
-                w = row.get(k, 0) - h * v
-                if w:
+                if w := row.get(k, 0) - h * v:
                     if k < m and k not in row:
                         holders[k].add(i)
                     row[k] = w
@@ -499,8 +517,10 @@ def _phase1_simplex(arows, cols, d, scale, nvars):
             za[k] -= hv  # artificial k, or the rhs when k == m
             if k < m:
                 hv *= mults[k]
-                for j, a in arows[k].items():
-                    zc[j] -= hv * a
+                for a, js in by_value[k]:
+                    a *= hv
+                    for j in js:
+                        zc[j] -= a
         if f != 1:
             g = gcd(zscale, *zc, *za)
             if g > 1:
@@ -534,3 +554,34 @@ def _least_ratio(cands, k, binv, col):
         elif c == 0:
             keep.append(i)
     return keep
+
+
+def _lex_least(cands, binv, col):
+    """The row i of cands with the lexicographically least binv[i] / col[i]
+    (each col[i] > 0), keys in increasing order.  A row of B^-1 is nonzero,
+    so its least key is an artificial column: the row whose least key is
+    lower wins there iff its entry is negative, and rows of one least key
+    compare entries cross-multiplied, key by key."""
+    r = cands[0]
+    br, cr = binv[r], col[r]
+    kr = min(br)
+    tied = False
+    for i in cands[1:]:
+        bi, ci = binv[i], col[i]
+        ki = min(bi)
+        if ki != kr:
+            less = bi[ki] < 0 if ki < kr else br[kr] > 0
+        else:
+            if not (x := bi[ki] * cr - br[kr] * ci):
+                for k in sorted(bi.keys() | br.keys()):
+                    if x := bi.get(k, 0) * cr - br.get(k, 0) * ci:
+                        break
+                else:
+                    # Rows tied on every key would have proportional rows.
+                    tied = True
+            less = x < 0
+        if less:
+            r, br, cr, kr, tied = i, bi, ci, ki, False
+    if tied:
+        raise AssertionError("lexicographic ratio test left a tie")
+    return r

@@ -19,7 +19,7 @@ to n*(i-1)+(k-1), and the entry ((i,k),(j,l)) of an n^2 x n^2 matrix gets
 the flat variable index flat(i,k)*n^2 + flat(j,l).
 """
 
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, product
@@ -427,14 +427,28 @@ def _reduced_groups(n: int):
     return (*entries, *rowblocks, *colblocks, tuple(range(n4)), (n4,))
 
 
+@lru_cache(maxsize=None)
+def _rung_index(groups):
+    """The cell-to-group index of a rung: per canonical row v, the tuple of
+    the rows r with v in groups[r]."""
+    index = [[] for _ in range(1 + max(map(max, groups)))]
+    for r, group in enumerate(groups):
+        for v in group:
+            index[v].append(r)
+    return tuple(map(tuple, index))
+
+
 def _grouped_rows(n: int, supports, groups) -> SparseMatrix:
     """The LP rows whose row r is the sum of the canonical rows in groups[r].
 
     supports yields kron_support(p, q) of the j-th pair (p, q) as its j-th
     item, and is read once.  Column j of row r counts the members of
-    groups[r] in that support + [n^4], and only nonzero counts are stored:
-    holders[v] lists the columns with a one in canonical row v, which is
-    row r when groups[r] = (v,).
+    groups[r] in that support + [n^4], and only nonzero counts are stored.
+    holders[v] lists the columns with a one in canonical row v; only the
+    v that hold a column are visited, and _rung_index sends each to the
+    rows whose group holds v.  A row of one member is that list, a row of
+    more counts the columns of its visited members in one pass, and a row
+    no visited v reaches stays empty, so the work follows the supports.
     """
     holders = [[] for _ in range(n ** 4)]
     cols = 0
@@ -443,17 +457,31 @@ def _grouped_rows(n: int, supports, groups) -> SparseMatrix:
             holders[v].append(cols)
         cols += 1
     holders.append(range(cols))  # the sum-to-1 row
-    data = [dict.fromkeys(holders[group[0]], 1) if len(group) == 1 else
-            Counter(chain.from_iterable(map(holders.__getitem__, group)))
-            for group in groups]
+    index = _rung_index(groups)
+    data = [{} for _ in groups]
+    visited = defaultdict(list)  # per row of several members, its cells
+    for v in compress(range(len(holders)), holders):
+        for r in index[v]:
+            if len(groups[r]) == 1:
+                data[r] = dict.fromkeys(holders[v], 1)
+            else:
+                visited[r].append(v)
+    for r, cells in visited.items():
+        data[r] = Counter(chain.from_iterable(map(holders.__getitem__,
+                                                  cells)))
     return SparseMatrix(len(groups), cols, data)
 
 
 def _grouped_rhs(rhs, groups):
     """The rhs of _grouped_rows as ints: d_r sums the canonical rhs over
     groups[r], from its scaled ints rhs (see _checked_rhs), so it keeps
-    their scale."""
-    return [sum(map(rhs.__getitem__, group)) for group in groups]
+    their scale; only the nonzeros of rhs are read."""
+    index = _rung_index(groups)
+    d = [0] * len(groups)
+    for v in compress(range(len(rhs)), rhs):
+        for r in index[v]:
+            d[r] += rhs[v]
+    return d
 
 
 def _lift_farkas(y, groups, n: int):

@@ -600,10 +600,18 @@ def test_lp_on_one_matrix_matches_a_fresh_copy():
             assert (res.status, out) == reference_simplex(dense(kept),
                                                           rhs), trial
             seen.add(res.status)
-        # Column j of the index lists the (row, value) of its nonzeros.
+        # Column j of the index lists the (row, value) of its nonzeros; the
+        # kept column sums are the sums of C's columns, and the rows by value
+        # hold each row's nonzeros once, grouped by value.
         assert kept._simplex == [
             [(i, row[j]) for i, row in enumerate(kept.data) if j in row]
             for j in range(kept.cols)]
+        assert kept._colsums == [sum(row.get(j, 0) for row in kept.data)
+                                 for j in range(kept.cols)]
+        assert [{j: v for v, js in runs for j in js}
+                for runs in kept._by_value] == kept.data
+        assert all(len({v for v, _ in runs}) == len(runs)
+                   for runs in kept._by_value)
     assert seen == {FEASIBLE, INFEASIBLE}
 
 

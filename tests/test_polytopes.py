@@ -47,6 +47,7 @@ from tensorhull.polytopes import (
     _full_rung,
     _grouped_rhs,
     _grouped_rows,
+    _lift_farkas,
     _reduced_groups,
     _verify_psi_farkas,
 )
@@ -915,14 +916,20 @@ def test_reduced_rows_span_the_canonical_system(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_grouped_system_matches_dense_oracle(n):
     # The sparse rows hold exactly the nonzeros of the dense rows, for both
-    # tables, over all pairs and over the support-filtered pairs of a T, a
-    # vertex mix and a span-perturbed mix.
+    # tables, over all pairs, over the support-filtered pairs of a T, a
+    # vertex mix and a span-perturbed mix, and over 0, 1 and 2 pairs: none,
+    # the first, the last, a pair and its successor, and two that share no
+    # permutation.
     rng = random.Random(95 + n)
     mats = [build_T(n, random_permutation(rng, n)), vertex_mix(rng, n, 2),
             span_perturbed(rng, n)]
-    cases = [(mats[1], all_pairs(n))]
+    everything = all_pairs(n)
+    cases = [(mats[1], everything)]
     cases += [(c, admissible_pairs(c, n)) for c in mats]
-    assert min(len(pairs) for _, pairs in cases) < len(cases[0][1])
+    assert min(len(pairs) for _, pairs in cases) < len(everything)
+    few = [[], everything[:1], everything[-1:], everything[:2],
+           [everything[-1], everything[0]]]
+    cases += [(c, pairs) for c in mats[:2] for pairs in few]
     for c, pairs in cases:
         for groups in (_reduced_groups(n), _canonical_groups(n)):
             args = (*_checked_rhs(c, n), n)
@@ -934,10 +941,10 @@ def test_grouped_system_matches_dense_oracle(n):
             assert d == d_want
 
 
-def test_psi_lp_pivots_match_reference_tableau():
-    # Seeded Psi systems, reduced and canonical, over the support-filtered
-    # pairs and (at n=3, and for one n=4 matrix) over all pairs: the revised
-    # simplex must return the dense tableau's witness or Farkas vector.
+def seeded_psi_systems():
+    """(n, c, pairs, groups) of seeded Psi systems, reduced and canonical,
+    over the support-filtered pairs and (at n=3, and for one n=4 matrix)
+    over all pairs."""
     rng = random.Random(2026)
     systems = []
     for n in (3, 4):
@@ -949,15 +956,60 @@ def test_psi_lp_pivots_match_reference_tableau():
                 pair_sets.append(all_pairs(n))
             for pairs in pair_sets:
                 for groups in (_reduced_groups(n), _canonical_groups(n)):
-                    systems.append(grouped_system(
-                        *_checked_rhs(c, n), n, supports(pairs), groups))
+                    systems.append((n, c, pairs, groups))
+    return systems
+
+
+def test_psi_lp_pivots_match_reference_tableau():
+    # On the seeded Psi systems the revised simplex must return the dense
+    # tableau's witness or Farkas vector.
     seen = set()
-    for c, d in systems:
-        res = lp_feasible(c, *ints_over(d))
+    for n, c, pairs, groups in seeded_psi_systems():
+        rows, d = grouped_system(*_checked_rhs(c, n), n, supports(pairs),
+                                 groups)
+        res = lp_feasible(rows, *ints_over(d))
         out = res.witness if res.feasible else res.farkas
-        assert (res.status, out) == reference_simplex(dense(c), d)
+        assert (res.status, out) == reference_simplex(dense(rows), d)
         seen.add(res.status)
     assert len(seen) == 2
+
+
+def test_integer_farkas_recheck_matches_fraction_and_dense_checks():
+    # Every certificate of the seeded Psi systems, over its grouped rows and
+    # lifted onto the canonical rows of membership_system (the psi-oracle
+    # re-check), and a copy of each with one nonzero entry moved to another
+    # row: check_farkas over ints (the certificate's ints and the rhs ints
+    # of _grouped_rhs or _checked_rhs) must agree with the same call over
+    # Fractions and with the dense check.
+    rng = random.Random(2030)
+    verdicts = set()
+    for n, c, pairs, groups in seeded_psi_systems():
+        mult, rhs = _checked_rhs(c, n)
+        rows = _grouped_rows(n, supports(pairs), groups)
+        res = lp_feasible(rows, _grouped_rhs(rhs, groups), scale=mult)
+        if res.feasible:
+            continue
+        ys, scale = res.certificate
+        canon, d_canon = membership_system(c, n, pairs)
+        assert d_canon == [Fraction(v, mult) for v in rhs]
+        for matrix, ints, y in (
+                (rows, _grouped_rhs(rhs, groups), ys),
+                (canon, rhs, _lift_farkas(ys, groups, n))):
+            assert {type(v) for v in (*ints, *y)} == {int}
+            i = rng.choice([i for i, v in enumerate(y) if v])
+            k = rng.choice([k for k in range(len(y)) if k != i])
+            moved = list(y)
+            moved[k], moved[i] = moved[k] + moved[i], 0
+            d = [Fraction(v, mult) for v in ints]
+            for vector in (y, moved):
+                verdict = check_farkas(matrix, ints, vector)
+                farkas = [Fraction(v, scale) for v in vector]
+                assert verdict == check_farkas(matrix, d, farkas)
+                assert verdict == dense_check_farkas(dense(matrix), d, farkas)
+                verdicts.add((vector is y, verdict))
+    # Every certificate passes, and some moved entries break one.
+    assert verdicts >= {(True, True), (False, False)}
+    assert (True, False) not in verdicts
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
