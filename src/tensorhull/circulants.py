@@ -7,7 +7,7 @@ above shifted left by one place) and its sigma-relabeled variant whose first
 row is permuted by sigma before shifting.
 """
 
-from .permutations import Permutation
+from .permutations import Permutation, first_pair
 
 
 class VarMatrix:
@@ -31,10 +31,6 @@ class VarMatrix:
     def __repr__(self):
         return f"VarMatrix({self.entry})"
 
-    def row(self, i: int):
-        """Row i, 1-based."""
-        return self.entry[i - 1]
-
 
 def build_A(n: int) -> VarMatrix:
     """Circulant pattern: cell (i,k) holds variable ((i+k-2) mod n) + 1."""
@@ -52,39 +48,14 @@ def build_B(n: int, sigma: Permutation) -> VarMatrix:
 
 
 def exists_PQ(a: VarMatrix, b: VarMatrix):
-    """A pair (p, q) with a[i][k] = b[p(i)][q(k)] for all i, k; None if none.
-
-    The search anchors on the image of a's first row: for each candidate row
-    r of b, the column permutation is forced (rows hold distinct variables),
-    and the remaining row assignment is a multiset match.  All n!^2 pairs are
-    thereby covered; the first hit in ascending r is the lexicographically
-    smallest (p, q).
-    """
-    n = a.n
-    if b.n != n:
+    """The least (p, q) with a[i][k] = b[p(i)][q(k)] for all i, k, or None:
+    pair_search with masks[i][j][k] the one bit where row j of b holds
+    a[i][k]."""
+    if b.n != a.n:
         raise ValueError("size mismatch")
-    target_rows = a.entry
-    for r in range(1, n + 1):
-        brow = b.row(r)
-        pos = {var: idx + 1 for idx, var in enumerate(brow)}
-        q_img = [pos[target_rows[0][k]] for k in range(n)]
-        permuted = {}
-        for j in range(1, n + 1):
-            key = tuple(b.entry[j - 1][q_img[k] - 1] for k in range(n))
-            permuted.setdefault(key, []).append(j)
-        p_img = []
-        taken: dict[tuple, int] = {}
-        for row in target_rows:
-            rows_for_key = permuted.get(row, [])
-            used = taken.get(row, 0)
-            if used >= len(rows_for_key):
-                p_img = []
-                break
-            p_img.append(rows_for_key[used])
-            taken[row] = used + 1
-        if p_img:
-            return Permutation(p_img), Permutation(q_img)
-    return None
+    pos = [{v: 1 << l for l, v in enumerate(row)} for row in b.entry]
+    return first_pair([[[at[v] for v in row] for at in pos]
+                       for row in a.entry])
 
 
 def format_varmatrix(m: VarMatrix) -> str:

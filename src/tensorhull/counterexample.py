@@ -17,10 +17,10 @@ from math import factorial
 
 from .circulants import build_A, build_B, exists_PQ
 from .exactmath import RatMatrix
-from .permutations import Permutation, is_counterexample_sigma
-from .polytopes import (admissible_pairs, build_phi_constraints,
-                        check_lp_size, check_phi_size, class_psi_contains,
-                        phi_contains, phi_support_rank)
+from .permutations import Permutation, first_pair, is_counterexample_sigma
+from .polytopes import (build_phi_constraints, check_lp_size, check_phi_size,
+                        class_psi_contains, phi_contains, phi_support_rank,
+                        support_masks)
 
 LP_DEFAULT_CAP = 4
 
@@ -110,11 +110,11 @@ def certify_not_in_psi(t: RatMatrix, n: int) -> bool:
 
     A convex combination equal to T would have to give zero weight to every
     vertex with a one outside supp(T); with no support-contained vertex at
-    all, no combination exists, so True implies T is outside Psi.  The
-    pruned support search of admissible_pairs decides it; raises ValueError
-    unless T is n^2 x n^2.
+    all, no combination exists, so True implies T is outside Psi.  True iff
+    pair_search on T's support finds no pair; it stops at the first one, and
+    no pair list is built.  Raises ValueError unless T is n^2 x n^2.
     """
-    return not admissible_pairs(t, n)
+    return first_pair(support_masks(t, n)) is None
 
 
 class VerificationReport:

@@ -1,4 +1,5 @@
-"""Permutations of {1..n} and the admissible-sigma filter.
+"""Permutations of {1..n}, the admissible-sigma filter and the pruned search
+for pairs (p, q) that every row block allows (pair_search).
 
 A permutation sigma is called *admissible* here when conjugating the full
 cycle rho = (1 2 ... n) by sigma lands outside the subgroup generated by
@@ -88,6 +89,48 @@ def is_counterexample_sigma(sigma: Permutation) -> bool:
     img = sigma.image
     n = len(img)
     return len({(img[(x + 1) % n] - img[x]) % n for x in range(n)}) > 1
+
+
+def pair_search(masks):
+    """Lazily, (p image, open) for every p that the pruned search keeps, in
+    lexicographic order.  Bit l of masks[i][j][k] lets q(k) = l + 1 go with
+    p(i) = j + 1 (for a matrix c: c[(i,k),(j,l)] is nonzero).  p grows one
+    row i at a time, open[k] keeping the columns every placed i allows q(k),
+    and a prefix that leaves some k none is cut; open_images(open) lists q.
+    """
+    n = len(masks)
+
+    def grow(i, used, p_img, open_):
+        if i == n:
+            yield p_img, tuple(open_)
+            return
+        for j in range(n):
+            if not used >> j & 1:
+                nxt = [a & b for a, b in zip(open_, masks[i][j])]
+                if all(nxt):
+                    yield from grow(i + 1, used | 1 << j, (*p_img, j + 1), nxt)
+
+    return grow(0, 0, (), [(1 << n) - 1] * n)
+
+
+def open_images(open_, k: int = 0, used: int = 0):
+    """Lexicographically, each q image (from k on, off the columns in used)
+    with bit q(k) - 1 of open_[k] set."""
+    if k == len(open_):
+        yield ()
+        return
+    free = open_[k] & ~used
+    for l in range(len(open_)):
+        if free >> l & 1:
+            for rest in open_images(open_, k + 1, used | 1 << l):
+                yield (l + 1, *rest)
+
+
+def first_pair(masks):
+    """pair_search's least (p, q), or None; the search stops there."""
+    return next(((Permutation(p), Permutation(q))
+                 for p, open_ in pair_search(masks)
+                 for q in open_images(open_)), None)
 
 
 def all_permutations(n: int):

@@ -28,7 +28,8 @@ from operator import mul
 
 from .exactmath import (RatMatrix, SparseMatrix, clear_denominators,
                         farkas_property, lp_feasible, rat_rank)
-from .permutations import Permutation, all_permutations
+from .permutations import (Permutation, all_permutations, open_images,
+                           pair_search)
 
 SUPPORT_FILTERED = "support_filtered"
 FULL = "full"
@@ -316,59 +317,37 @@ def _full_rung(n: int, canonical: bool):
     return groups, _grouped_rows(n, supports, groups), None
 
 
-def admissible_pairs(c: RatMatrix, n: int):
-    """Every (p, q) whose Kronecker support sits inside the support of c,
-    in lexicographic order of (p image, q image).
-
-    A pruned exhaustive search: p grows one row block i at a time, and for
-    each k a bitmask holds the columns l still open to q(k), those with
-    c[(i,k),(p(i),l)] nonzero for every placed i.  A prefix of p that
-    leaves some k no open column is cut.  The q's of each complete p are
-    counted first, and more pairs than check_lp_size allows are refused
-    before one is built; then each p lists its q's among the open columns.
-    """
+def support_masks(c: RatMatrix, n: int):
+    """pair_search's masks for c: bit l of masks[i][j][k] is set iff
+    c[(i,k),(j,l)] is nonzero; raises unless c is n^2 x n^2."""
     nn = n * n
     if c.rows != nn or c.cols != nn:
         raise ValueError(f"matrix must be {nn} x {nn}")
-    rng = range(n)
-    # masks[i][j][k]: bit l is set iff c[(i,k),(j,l)] is nonzero.
-    masks = [[[0] * n for _ in rng] for _ in rng]
+    masks = [[[0] * n for _ in range(n)] for _ in range(n)]
     for v in support_columns(c):  # v = n^3 i + n^2 k + n j + l
         masks[v // n ** 3][v // n % n][v // nn % n] |= 1 << v % n
-    found = []  # (p image, open masks) of every complete p
+    return masks
 
-    def qs(open_, k, used):
-        if k == n:
-            yield ()
-            return
-        free = open_[k] & ~used
-        for l in rng:
-            if free >> l & 1:
-                for rest in qs(open_, k + 1, used | 1 << l):
-                    yield (l + 1, *rest)
 
-    def grow(i, used, p_img, open_):
-        if i == n:
-            found.append((p_img, tuple(open_)))
-            return
-        for j in rng:
-            if not used >> j & 1:
-                nxt = [a & b for a, b in zip(open_, masks[i][j])]
-                if all(nxt):
-                    grow(i + 1, used | 1 << j, (*p_img, j + 1), nxt)
+def admissible_pairs(c: RatMatrix, n: int):
+    """Every (p, q) whose Kronecker support sits inside the support of c,
+    in lexicographic order of (p image, q image), from pair_search on
+    support_masks(c, n).  The q's of every p are counted first, and more
+    pairs than check_lp_size allows are refused before one is built.
+    """
+    found = list(pair_search(support_masks(c, n)))
 
     @lru_cache(maxsize=None)
-    def count(open_, k, used):  # the q's that qs(open_, k, used) would list
+    def count(open_, k, used):  # len of open_images(open_, k, used)
         if k == n:
             return 1
         free = open_[k] & ~used
         return sum(count(open_, k + 1, used | 1 << l)
-                   for l in rng if free >> l & 1)
+                   for l in range(n) if free >> l & 1)
 
-    grow(0, 0, (), [(1 << n) - 1] * n)
     check_lp_size(n, sum(count(open_, 0, 0) for _, open_ in found))
     return [(p, Permutation(q_img)) for p_img, open_ in found
-            for p in [Permutation(p_img)] for q_img in qs(open_, 0, 0)]
+            for p in [Permutation(p_img)] for q_img in open_images(open_)]
 
 
 def membership_system(c: RatMatrix, n: int, pairs) -> tuple[SparseMatrix, list]:

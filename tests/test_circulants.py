@@ -105,29 +105,35 @@ def test_exists_PQ_roundtrip():
 
 
 def test_exists_PQ_matches_brute_force():
-    # n=3: every sigma; the anchored search must agree with the n!^2 scan
-    for n in (2, 3):
-        for sigma in all_permutations(n):
-            a, b = build_A(n), build_B(n, sigma)
-            ours = exists_PQ(a, b)
-            brute = brute_exists_PQ(a.entry, b.entry)
-            assert (ours is None) == (brute is None)
-            if ours is not None:
-                assert is_factorization(a, b, *ours)
-    # n=4: a sample incl. the printed case
+    # the pair found is the n!^2 scan's lexicographically least one
     rng = random.Random(34)
-    sample = [parse_permutation("(3 4)", 4), identity(4),
-              Permutation((2, 3, 4, 1))]
-    sample += [random_permutation(rng, 4) for _ in range(5)]
-    for sigma in sample:
-        a, b = build_A(4), build_B(4, sigma)
+    cases = [(build_A(n), build_B(n, sigma))
+             for n in (1, 2, 3, 4) for sigma in all_permutations(n)]
+    for _ in range(120):
+        n = rng.randint(1, 4)
+        rows = [random_permutation(rng, n).image for _ in range(n)]
+        if n > 1 and rng.random() < 0.5:  # a duplicate row
+            rows[rng.randrange(1, n)] = rows[0]
+        b = VarMatrix(rows)
+        p, q = random_permutation(rng, n), random_permutation(rng, n)
+        # a copy of b with rows and columns moved: (p, q) factors it
+        copy = VarMatrix([[b.entry[pi - 1][qk - 1] for qk in q.image]
+                          for pi in p.image])
+        other = VarMatrix([random_permutation(rng, n).image
+                           for _ in range(n)])
+        cases += [(copy, b), (other, b), (b, copy)]
+    found = 0
+    for a, b in cases:
         ours = exists_PQ(a, b)
         brute = brute_exists_PQ(a.entry, b.entry)
-        assert (ours is None) == (brute is None)
+        assert (None if ours is None
+                else (ours[0].image, ours[1].image)) == brute
+        found += ours is not None
+    assert 0 < found < len(cases)
 
 
 def test_exists_PQ_with_duplicate_rows():
-    # valid VarMatrix rows may repeat; the multiset match must handle it
+    # valid VarMatrix rows may repeat; several rows of b then fit one row of a
     a = VarMatrix([[1, 2], [1, 2]])
     b = VarMatrix([[2, 1], [2, 1]])
     pair = exists_PQ(a, b)

@@ -429,6 +429,20 @@ def test_psi_oracle_n6_transfer_matches_golden_bytes(tmp_path):
     assert result.stdout == golden.read_text()
 
 
+def test_psi_oracle_refuses_the_filtered_lp_past_the_cap(tmp_path, capsys):
+    # T for the identity at n = 25 keeps 25 Kronecker vertices inside its
+    # support, more LP columns than check_lp_size allows; the support
+    # certificate lists none of them, but the support-filtered LP is refused.
+    from tensorhull import cli
+    t25 = tmp_path / "t25.txt"
+    assert cli.main(["build", "T", "--n", "25", "--sigma", "identity",
+                     "--output", str(t25)]) == 0
+    assert cli.main(["psi-oracle", str(t25), "--n", "25"]) == 2
+    assert capsys.readouterr().err == (
+        "error: the Psi LP at n=25 has a 390626 x 25 canonical system, "
+        "larger than the full n=5 one (626 x 14400)\n")
+
+
 def test_psi_oracle_usage_errors(tmp_path):
     missing = run_cli("psi-oracle", str(tmp_path / "nope.txt"), "--n", "4")
     assert missing.returncode == 2

@@ -22,11 +22,12 @@ from tensorhull.permutations import (
     all_permutations,
     enumerate_counterexample_sigmas,
     identity,
+    is_counterexample_sigma,
     parse_permutation,
 )
-from tensorhull.circulants import build_B
-from tensorhull.polytopes import (TensorIndex, build_phi_constraints,
-                                  phi_contains)
+from tensorhull.circulants import build_A, build_B, exists_PQ
+from tensorhull.polytopes import (TensorIndex, admissible_pairs,
+                                  build_phi_constraints, phi_contains)
 from helpers import (
     fraction_matvec,
     plain_block_failures,
@@ -207,12 +208,31 @@ def test_certify_examples():
 
 
 def test_certify_agrees_with_admissibility():
-    from tensorhull.permutations import is_counterexample_sigma
-    sigmas = [s for n in (2, 3, 4, 5) for s in all_permutations(n)]
-    sigmas += random.Random(66).sample(list(all_permutations(6)), 60)
-    for sigma in sigmas:
-        cert = certify_not_in_psi(build_T(sigma.n, sigma), sigma.n)
-        assert cert == is_counterexample_sigma(sigma)
+    # one pair search answers the pattern question, the certificate and the
+    # support filter; all three must agree with the closed-form test, and a
+    # pattern factorization is the first support-contained pair
+    for n in (2, 3, 4, 5, 6):
+        a = build_A(n)
+        for sigma in all_permutations(n):
+            t = build_T(n, sigma)
+            pattern_pair = exists_PQ(a, build_B(n, sigma))
+            pairs = admissible_pairs(t, n)
+            cert = certify_not_in_psi(t, n)
+            assert cert == (pattern_pair is None) == (not pairs)
+            assert cert == is_counterexample_sigma(sigma)
+            if pairs:
+                assert pattern_pair == pairs[0]
+
+
+def test_certify_past_the_psi_lp_cap():
+    # an affine sigma leaves n support-contained pairs, more columns than
+    # check_lp_size allows from n = 25 on; the certificate lists no pair,
+    # while the support filter still refuses to build that LP
+    for n in (25, 32):
+        t = build_T(n, identity(n))
+        assert certify_not_in_psi(t, n) is False
+        with pytest.raises(ValueError, match="the Psi LP at n="):
+            admissible_pairs(t, n)
 
 
 def test_certify_rejects_wrong_shape():
